@@ -7,25 +7,36 @@ A generalized program here is
 
 with ``|x|`` taken entrywise.  Restricted to the orthant where
 ``sign(x) = s`` the absolute value collapses, ``|x| = diag(s) x``, and
-the program becomes an ordinary LP.  The solver enumerates all ``2**n``
-orthants, solves each restriction, and combines: an unbounded orthant
+the program becomes an ordinary LP.
+
+Only columns with a nonconvex ``|x_j|`` term are split this way.  A
+column without ``|x_j|`` terms stays a free variable.  A convex column,
+whose ``|x_j|`` only loosens rows and lowers the objective of the max
+(``abs_lhs[:, j] >= 0``, ``abs_cost[j] <= 0``), gets an epigraph
+variable ``t_j >= |x_j|`` in place of ``|x_j|``; that is exact, since
+lowering ``t_j`` to ``|x_j|`` keeps every row and cannot lose value.
+The solver enumerates the ``2**k`` orthants of the ``k`` remaining
+columns, solves each restriction, and combines: an unbounded orthant
 makes the whole program unbounded, otherwise the best finite orthant
 wins, and the program is infeasible only when every orthant is.  Ties
 go to the lexicographically smallest sign vector (all-minus first), so
-results are deterministic.
+results are deterministic.  A program that is convex in every column is
+one LP.
 
 The enumeration is exact but exponential, so problems are refused
-beyond a configurable variable cap (default 16).
+beyond a configurable cap (default 16) on the number of variables; the
+cap counts all ``n`` variables, not only the enumerated ones.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError, SizeCapError
-from .intervals import DEFAULT_TOL, SignVector, all_sign_vectors, sign_of
+from .intervals import DEFAULT_TOL, SignVector, sign_of
 from .simplex import Status, _solve_inequality
 
 DEFAULT_ORTHANT_CAP = 16
@@ -91,12 +102,16 @@ class OrthantRecord:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Combined result over all orthants.
+    """Combined result over all enumerated orthants.
 
     ``orthant`` is the sign vector of the winning restriction, ``ray``
     an improving direction when unbounded (it stays inside the winning
     orthant's cone), and ``records`` the per-orthant outcomes in
-    lexicographic order.
+    lexicographic order, one per orthant of the columns with a
+    nonconvex ``|x|`` term (a single record when there is none).  Every
+    sign vector has length ``n``: enumerated columns carry the
+    orthant's label, the other columns the sign of that restriction's
+    optimizer (of its ray when unbounded, plus when infeasible).
     """
 
     status: Status
@@ -133,13 +148,27 @@ class SolveOutcome:
         return tuple(int(i) for i in np.nonzero(slack <= tol * scale)[0])
 
 
+def _column_kinds(abs_lhs: np.ndarray, abs_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the convex and of the enumerated columns of a max.
+
+    A column without any ``|x_j|`` term needs nothing.  A column whose
+    ``|x_j|`` only loosens rows and costs (``abs_lhs[:, j] >= 0``,
+    ``abs_cost[j] <= 0``) is convex; every other column is enumerated.
+    """
+    absent = np.all(abs_lhs == 0.0, axis=0) & (abs_cost == 0.0)
+    convex = ~absent & np.all(abs_lhs >= 0.0, axis=0) & (abs_cost <= 0.0)
+    enumerated = ~(absent | convex)
+    return np.flatnonzero(convex), np.flatnonzero(enumerated)
+
+
 def solve_gen_avlp(
     program: GenAvlpProgram,
     tol: float = DEFAULT_TOL,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
     minimize: bool = False,
 ) -> SolveOutcome:
-    """Solve a generalized program by exhaustive orthant decomposition.
+    """Solve a generalized program by orthant decomposition over the
+    columns with a nonconvex ``|x|`` term.
 
     With ``minimize=True`` the objective is minimized instead; the
     infeasible value is then ``+inf`` and the unbounded value ``-inf``.
@@ -149,27 +178,52 @@ def solve_gen_avlp(
     n = program.n
     if n > orthant_cap:
         raise SizeCapError(
-            f"orthant decomposition over {n} variables needs 2**{n} subproblems, "
+            f"orthant decomposition over {n} variables needs up to 2**{n} subproblems, "
             f"cap is {orthant_cap}"
         )
     flip = -1.0 if minimize else 1.0
     p = flip * program.linear_cost
     q = flip * program.abs_cost
+    G = program.linear_lhs
+    H = program.abs_lhs
+    conv, enum = _column_kinds(H, q)
 
-    m = program.m
-    rhs = np.concatenate([program.rhs, np.zeros(n)])
-    lhs = np.zeros((m + n, n))
-    diag_idx = np.arange(n)
+    # variables (x, t) with one epigraph variable t_i >= |x_conv[i]|;
+    # rows: program rows, one sign row per enumerated column, then the
+    # two epigraph rows of each convex column
+    m, k, c = program.m, enum.size, conv.size
+    lhs = np.zeros((m + k + 2 * c, n + c))
+    lhs[:m, :n] = G
+    lhs[:m, n:] = H[:, conv]
+    sign_rows = m + np.arange(k)
+    lower = m + k + 2 * np.arange(c)
+    t_cols = n + np.arange(c)
+    lhs[lower, conv] = 1.0
+    lhs[lower + 1, conv] = -1.0
+    lhs[lower, t_cols] = -1.0
+    lhs[lower + 1, t_cols] = -1.0
+    rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
+    cost = np.concatenate([p, q[conv]])
 
     records: list[OrthantRecord] = []
     best_core = None
     best_sign: SignVector | None = None
-    for s in all_sign_vectors(n):
-        s_arr = s.as_array()
-        np.multiply(program.abs_lhs, s_arr[None, :], out=lhs[:m])
-        lhs[:m] += program.linear_lhs
-        lhs[m + diag_idx, diag_idx] = -s_arr
-        core = _solve_inequality(lhs, rhs, p + s_arr * q, None, tol)
+    for bits in itertools.product((-1.0, 1.0), repeat=k):
+        s_arr = np.array(bits)
+        lhs[:m, enum] = G[:, enum] + H[:, enum] * s_arr
+        lhs[sign_rows, enum] = -s_arr
+        cost[enum] = p[enum] + q[enum] * s_arr
+        core = _solve_inequality(lhs, rhs, cost, None, tol)
+        if core.x is not None:
+            core.x = core.x[:n]
+        if core.ray is not None:
+            core.ray = core.ray[:n]
+        # unsplit columns take the sign of the point (of the ray when
+        # unbounded, plus when infeasible)
+        point = core.ray if core.ray is not None else core.x
+        label = np.ones(n) if point is None else np.where(point >= 0, 1.0, -1.0)
+        label[enum] = s_arr
+        s = SignVector(label)
         records.append(
             OrthantRecord(
                 orthant=s,

@@ -70,7 +70,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="numerical tolerance (default 1e-9)")
     common.add_argument("--orthant-cap", type=int, default=DEFAULT_ORTHANT_CAP,
-                        help="refuse sign enumeration beyond this many variables")
+                        help="refuse programs with more variables than this; only "
+                             "variables with a nonconvex |x| term are split "
+                             "into sign orthants, but all count")
     common.add_argument("--max-iters", type=int, default=50,
                         help="iteration limit of the worst-case upper bound")
     common.add_argument("--format", choices=("text", "json"), default="text",

@@ -103,17 +103,6 @@ class LuFactorization:
         rhs = np.asarray(rhs, dtype=float)
         return scipy.linalg.lu_solve((self.lu, self.piv), rhs, trans=1, check_finite=False)
 
-    def reconstruction_error(self, matrix) -> float:
-        """Max-norm error of rebuilding the permuted matrix from L and U."""
-        matrix = np.asarray(matrix, dtype=float)
-        n = self.n
-        lower = np.tril(self.lu, -1) + np.eye(n)
-        upper = np.triu(self.lu)
-        perm = np.arange(n)
-        for i, p in enumerate(self.piv):
-            perm[i], perm[p] = perm[p], perm[i]
-        return float(np.max(np.abs(matrix[perm] - lower @ upper))) if n else 0.0
-
 
 def solve_square(matrix, rhs) -> np.ndarray:
     """Solve a square real system with partial pivoting.

@@ -184,7 +184,15 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
     T[k, :ncols_orig] = -a1.sum(axis=0)
     T[k, -1] = -b1.sum()
     entering = run_phase()
-    if entering is not None:  # pragma: no cover - phase 1 is bounded below
+    if entering is not None:
+        # phase one is bounded below, so an entering column without a
+        # pivot row means the pivoted cost row has drifted: rebuild it
+        # from the basis (unit cost on the artificials) and go on
+        T[k] = 0.0
+        T[k, ncols_orig:width] = 1.0
+        T[k] -= T[:k][np.array(basis) >= ncols_orig].sum(axis=0)
+        entering = run_phase()
+    if entering is not None:
         raise NumericalError("numerical-failure: phase one reported unbounded")
     infeas = -T[k, -1]
     feas_tol = 1e-7 * (1.0 + float(np.max(np.abs(b1), initial=0.0)))

@@ -44,9 +44,28 @@ def test_nominal_two_variable_instance():
 
 
 def test_records_cover_all_orthants_in_order():
-    prog = _program([1.0, 0.0], [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)), [1.0, 1.0])
+    # max |x_1| + |x_2| over a box: both columns are nonconvex, so
+    # every orthant is solved
+    box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    prog = _program([0.0, 0.0], [1.0, 1.0], box, np.zeros((4, 2)), [1.0, 1.0, 1.0, 1.0])
     out = solve_gen_avlp(prog)
     assert [r.orthant for r in out.records] == all_sign_vectors(2)
+    assert out.value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_no_column_to_enumerate_gives_one_record():
+    # x_1 absent, x_2 convex (|x_2| only costs and loosens a row)
+    box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+    abs_lhs = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 0.0]]
+    prog = _program([1.0, 1.0], [0.0, -0.5], box, abs_lhs, [1.0, 1.0, 2.0, 1.0])
+    out = solve_gen_avlp(prog)
+    assert len(out.records) == 1
+    assert out.status is Status.OPTIMAL
+    # x_2 <= 2 - 0.5 x_2 gives x_2 = 4/3, worth 4/3 - 2/3
+    assert out.value == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-9)
+    assert np.allclose(out.optimizer, [1.0, 4.0 / 3.0], atol=1e-9)
+    assert out.orthant.entries == (1, 1)
+    assert out.records[0].orthant == out.orthant
 
 
 def test_tie_keeps_lexicographically_smallest_orthant():
@@ -199,3 +218,63 @@ def test_appending_a_row_never_helps():
             np.concatenate([base.rhs, rng.uniform(0.5, 4, 1)]),
         )
         assert solve_gen_avlp(tightened).value <= solve_gen_avlp(base).value + 1e-9
+
+
+def test_mixed_columns_agree_with_oracle():
+    # columns drawn absent, convex or nonconvex for the direction of
+    # optimization; only the nonconvex ones may be enumerated
+    rng = np.random.default_rng(43)
+    for trial in range(80):
+        minimize = trial % 2 == 1
+        convex_cost = 1.0 if minimize else -1.0
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        kinds = rng.choice(["absent", "convex", "nonconvex"], n)
+        lin_lhs = rng.uniform(-3, 3, (m, n))
+        rhs = rng.uniform(-1, 4, m)
+        if trial % 4 < 2:
+            # box rows keep most programs bounded
+            lin_lhs = np.vstack([lin_lhs, np.eye(n), -np.eye(n)])
+            rhs = np.concatenate([rhs, rng.uniform(0.5, 3, 2 * n)])
+        rows = lin_lhs.shape[0]
+        abs_lhs = np.zeros((rows, n))
+        abs_cost = np.zeros(n)
+        for j, kind in enumerate(kinds):
+            if kind == "convex":
+                abs_lhs[:, j] = rng.uniform(0, 0.9, rows) * (rng.random(rows) < 0.7)
+                abs_cost[j] = convex_cost * rng.uniform(0, 1)
+            elif kind == "nonconvex" and rng.random() < 0.5:
+                abs_lhs[:, j] = rng.uniform(-0.9, 0.9, rows)
+                abs_cost[j] = -convex_cost * rng.uniform(0.1, 1)
+            elif kind == "nonconvex":
+                abs_lhs[:, j] = rng.uniform(0, 0.9, rows)
+                abs_lhs[int(rng.integers(rows)), j] = -rng.uniform(0.1, 0.9)
+                abs_cost[j] = convex_cost * rng.uniform(0, 1)
+        lin_cost = rng.uniform(-2, 2, n)
+        prog = _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
+        out = solve_gen_avlp(prog, minimize=minimize)
+
+        flip = -1.0 if minimize else 1.0
+        status, value = avlp_oracle(flip * lin_cost, flip * abs_cost, lin_lhs, abs_lhs, rhs)
+        assert out.status.value == status
+        if status == "optimal":
+            assert abs(out.value - flip * value) <= 1e-7 * (1.0 + abs(value))
+
+        enum = kinds == "nonconvex"
+        assert len(out.records) == 2 ** enum.sum()
+        if enum.any():
+            labels = [tuple(np.array(r.orthant.entries)[enum]) for r in out.records]
+            assert labels == [s.entries for s in all_sign_vectors(int(enum.sum()))]
+        # the unsplit columns are labelled by the sign of the point
+        points = [(r.orthant, r.optimizer) for r in out.records if r.optimizer is not None]
+        if out.status is Status.UNBOUNDED:
+            points.append((out.orthant, out.ray))
+        for label, point in points:
+            assert np.array_equal(np.array(label.entries)[~enum], np.where(point[~enum] >= 0, 1, -1))
+        if out.status is Status.OPTIMAL:
+            x = out.optimizer
+            lhs = prog.linear_lhs @ x + prog.abs_lhs @ np.abs(x)
+            assert np.all(lhs <= prog.rhs + 1e-7 * (1.0 + np.abs(prog.rhs)))
+            assert out.value == pytest.approx(
+                float(prog.linear_cost @ x + prog.abs_cost @ np.abs(x)), abs=1e-7
+            )

@@ -1,7 +1,11 @@
 """LP solver: statuses, certificates, duality, basis classification."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from avlprange import (
     BasisOptimality,
@@ -193,6 +197,20 @@ class TestBasisClassification:
         G = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingularMatrixError):
             check_basis_optimal(G, np.ones(2), self.c, (0, 1))
+
+
+def test_phase_one_cost_row_drift_is_repaired():
+    # on this LP the pivoted phase-one cost row drifted to a reduced
+    # cost of -3.8e-7 in a column without a pivot row, and phase one
+    # reported an unbounded direction
+    data = json.loads((Path(__file__).parent / "data" / "phase_one_drift_lp.json").read_text())
+    G, g, c = (np.array(data[key]) for key in ("G", "g", "c"))
+    out = solve_lp(LpProblem(c=c, G=G, g=g))
+    ref = linprog(-c, A_ub=G, b_ub=g, bounds=[(None, None)] * c.size, method="highs")
+    assert ref.status == 0
+    assert out.status is Status.OPTIMAL
+    assert out.value == pytest.approx(-ref.fun, rel=1e-7)
+    assert np.all(G @ out.x <= g + 1e-7)
 
 
 def test_shape_validation():
