@@ -31,8 +31,6 @@ from .intervals import (
     IntervalMatrix,
     IntervalVector,
     SignVector,
-    realize_rs,
-    realize_s,
     sign_of,
 )
 from .linalg import hull_vertices_orthant, solve_square
@@ -273,23 +271,8 @@ def _pick_realization(problem: AvlpProblem, args) -> tuple[Realization, str]:
                 )
             return witness, f"corner:{args.corner}:auto"
         s = _parse_sign_tokens(args.signs, problem.n)
-        s_arr = s.as_array()
-        ones = np.ones(problem.m)
-        if args.corner == "best":
-            chosen = Realization(
-                A=realize_rs(problem.A, ones, s_arr),
-                b=problem.b.sup,
-                c=realize_s(problem.c, s_arr),
-                D=problem.D.sup,
-            )
-        else:
-            chosen = Realization(
-                A=realize_rs(problem.A, ones, -s_arr),
-                b=problem.b.inf,
-                c=realize_s(problem.c, -s_arr),
-                D=problem.D.inf,
-            )
-        return chosen, f"corner:{args.corner}:{args.signs}"
+        corner = problem.best_corner if args.corner == "best" else problem.worst_corner
+        return corner(s), f"corner:{args.corner}:{args.signs}"
     if args.signs:
         raise InputError("--signs needs --corner best|worst")
     chosen = Realization(

@@ -4,14 +4,19 @@ An interval quantity is the box ``[inf, sup]`` taken entrywise and
 inclusive at both ends.  Storage is the endpoint pair; midpoint and
 radius are computed on demand.  Degenerate intervals (``inf == sup``)
 are ordinary real data and everything here treats them as such.
+``IntervalVector`` and ``IntervalMatrix`` share their validation,
+constructors and views through one base class.
 
-Two structured selections of members come up again and again:
+Two member selectors pick structured points of an interval quantity:
 
 * ``realize_rs(M, r, s)`` picks the member ``mid - diag(r) @ rad @ diag(s)``
   for row/column selectors with entries in ``[-1, 1]``; at ``+-1``
   selectors this lands exactly on endpoint corners.
 * ``realize_s(c, s)`` picks ``mid + diag(s) @ rad`` from an interval
   vector.
+
+The corner realizations of a whole problem are built from these by
+``AvlpProblem.best_corner`` and ``AvlpProblem.worst_corner``.
 
 Sign conventions: the sign of zero is ``+1`` everywhere in this package.
 
@@ -24,8 +29,9 @@ for square interval matrices.  Both tests only ever answer "verified" or
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,23 +74,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IntervalVector:
-    """Entrywise interval vector ``[inf, sup]``."""
+class _IntervalArray:
+    """Entrywise interval array ``[inf, sup]`` of a fixed dimension.
+
+    Subclasses set ``_ndim`` and the ``_what`` used in error messages.
+    """
 
     inf: np.ndarray
     sup: np.ndarray
 
+    _ndim: ClassVar[int]
+    _what: ClassVar[str]
+
     def __post_init__(self):
-        inf = _as_float_array(self.inf, 1, "interval vector inf")
-        sup = _as_float_array(self.sup, 1, "interval vector sup")
-        _check_bounds(inf, sup, "interval vector")
+        inf = _as_float_array(self.inf, self._ndim, f"{self._what} inf")
+        sup = _as_float_array(self.sup, self._ndim, f"{self._what} sup")
+        _check_bounds(inf, sup, self._what)
         object.__setattr__(self, "inf", _freeze(inf))
         object.__setattr__(self, "sup", _freeze(sup))
 
     @classmethod
-    def from_midrad(cls, mid, rad) -> "IntervalVector":
-        mid = _as_float_array(mid, 1, "interval vector mid")
-        rad = _as_float_array(rad, 1, "interval vector rad")
+    def from_midrad(cls, mid, rad):
+        mid = _as_float_array(mid, cls._ndim, f"{cls._what} mid")
+        rad = _as_float_array(rad, cls._ndim, f"{cls._what} rad")
         if mid.shape != rad.shape:
             raise DimensionError("mid and rad shapes differ")
         if np.any(rad < 0):
@@ -92,12 +104,9 @@ class IntervalVector:
         return cls(mid - rad, mid + rad)
 
     @classmethod
-    def from_point(cls, values) -> "IntervalVector":
-        values = _as_float_array(values, 1, "vector")
+    def from_point(cls, values):
+        values = _as_float_array(values, cls._ndim, f"{cls._what} point")
         return cls(values, values)
-
-    def __len__(self) -> int:
-        return self.inf.shape[0]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,65 +124,36 @@ class IntervalVector:
     def width(self) -> np.ndarray:
         return self.sup - self.inf
 
-    def take(self, indices) -> "IntervalVector":
-        idx = np.asarray(indices, dtype=int)
-        return IntervalVector(self.inf[idx], self.sup[idx])
-
-    def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
-        point = _as_float_array(point, 1, "point")
-        if point.shape != self.shape:
-            raise DimensionError("point shape does not match interval vector")
-        return bool(np.all(point >= self.inf - tol) and np.all(point <= self.sup + tol))
+    def contains(self, member, tol: float = DEFAULT_TOL) -> bool:
+        member = _as_float_array(member, self._ndim, f"{self._what} member")
+        if member.shape != self.shape:
+            raise DimensionError(f"member shape does not match {self._what}")
+        return bool(np.all(member >= self.inf - tol) and np.all(member <= self.sup + tol))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Uniformly sampled member; degenerate entries stay put."""
         return self.inf + rng.random(self.shape) * (self.sup - self.inf)
 
 
-@dataclass(frozen=True)
-class IntervalMatrix:
+class IntervalVector(_IntervalArray):
+    """Entrywise interval vector ``[inf, sup]``."""
+
+    _ndim = 1
+    _what = "interval vector"
+
+    def __len__(self) -> int:
+        return self.inf.shape[0]
+
+    def take(self, indices) -> "IntervalVector":
+        idx = np.asarray(indices, dtype=int)
+        return IntervalVector(self.inf[idx], self.sup[idx])
+
+
+class IntervalMatrix(_IntervalArray):
     """Entrywise interval matrix ``[inf, sup]``."""
 
-    inf: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self):
-        inf = _as_float_array(self.inf, 2, "interval matrix inf")
-        sup = _as_float_array(self.sup, 2, "interval matrix sup")
-        _check_bounds(inf, sup, "interval matrix")
-        object.__setattr__(self, "inf", _freeze(inf))
-        object.__setattr__(self, "sup", _freeze(sup))
-
-    @classmethod
-    def from_midrad(cls, mid, rad) -> "IntervalMatrix":
-        mid = _as_float_array(mid, 2, "interval matrix mid")
-        rad = _as_float_array(rad, 2, "interval matrix rad")
-        if mid.shape != rad.shape:
-            raise DimensionError("mid and rad shapes differ")
-        if np.any(rad < 0):
-            raise InputError("interval radius must be nonnegative")
-        return cls(mid - rad, mid + rad)
-
-    @classmethod
-    def from_point(cls, values) -> "IntervalMatrix":
-        values = _as_float_array(values, 2, "matrix")
-        return cls(values, values)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.inf.shape
-
-    @property
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.inf + self.sup)
-
-    @property
-    def rad(self) -> np.ndarray:
-        return 0.5 * (self.sup - self.inf)
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.sup - self.inf
+    _ndim = 2
+    _what = "interval matrix"
 
     def take_rows(self, indices) -> "IntervalMatrix":
         idx = np.asarray(indices, dtype=int)
@@ -185,17 +165,6 @@ class IntervalMatrix:
     @property
     def T(self) -> "IntervalMatrix":
         return self.transpose()
-
-    def contains(self, matrix, tol: float = DEFAULT_TOL) -> bool:
-        matrix = _as_float_array(matrix, 2, "matrix")
-        if matrix.shape != self.shape:
-            raise DimensionError("matrix shape does not match interval matrix")
-        return bool(
-            np.all(matrix >= self.inf - tol) and np.all(matrix <= self.sup + tol)
-        )
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.inf + rng.random(self.shape) * (self.sup - self.inf)
 
 
 @dataclass(frozen=True, order=True)
@@ -245,26 +214,12 @@ def sign_of(x) -> SignVector:
     return SignVector.from_point(x)
 
 
-def _make_sign_vectors(n: int) -> tuple["SignVector", ...]:
-    out = []
-    for k in range(2**n):
-        bits = [(k >> (n - 1 - i)) & 1 for i in range(n)]
-        out.append(SignVector(tuple(-1 if b == 0 else 1 for b in bits)))
-    return tuple(out)
-
-
-# memoized for small n where repeated enumeration dominates the cost
-_sign_vectors_cached = functools.lru_cache(maxsize=10)(_make_sign_vectors)
-
-
-def all_sign_vectors(n: int):
+def all_sign_vectors(n: int) -> list[SignVector]:
     """All 2**n sign vectors of length n in lexicographic order
     (all-minus first, all-plus last)."""
     if n < 1:
         raise InputError("sign vector length must be at least 1")
-    if n <= 10:
-        return list(_sign_vectors_cached(n))
-    return list(_make_sign_vectors(n))
+    return [SignVector(e) for e in itertools.product((-1, 1), repeat=n)]
 
 
 def _coerce_selector(value, length: int, what: str) -> np.ndarray:
@@ -347,14 +302,17 @@ def rex_rohn_regular(matrix: IntervalMatrix) -> RegularityCheck:
 
     Verifies regularity when the largest singular value of the radius
     stays below the smallest singular value of the midpoint, again with
-    margin.  The statistic reported is the ratio of the two.
+    margin.  The statistic reported is the ratio of the two.  A midpoint
+    whose smallest singular value is at most ``n * eps`` times its
+    largest (the rank tolerance of ``numpy.linalg.matrix_rank``) counts
+    as singular, and the answer is unknown.
     """
-    _require_square(matrix)
+    n = _require_square(matrix)
     sigma_rad = float(np.linalg.svd(matrix.rad, compute_uv=False)[0])
-    sigma_mid = float(np.linalg.svd(matrix.mid, compute_uv=False)[-1])
-    if sigma_mid <= 0.0:
+    sigma_mid = np.linalg.svd(matrix.mid, compute_uv=False)
+    if sigma_mid[-1] <= n * np.finfo(float).eps * sigma_mid[0]:
         return RegularityCheck("rex-rohn", False, np.inf, "midpoint-singular")
-    ratio = sigma_rad / sigma_mid
+    ratio = sigma_rad / float(sigma_mid[-1])
     return RegularityCheck("rex-rohn", ratio <= 1.0 - REGULARITY_MARGIN, ratio)
 
 

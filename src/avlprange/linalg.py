@@ -3,12 +3,14 @@ vertex enumeration.
 
 The enclosure routine covers the united solution set of ``M x = b``
 for a square interval matrix and interval right side.  It preconditions
-with the inverse midpoint, builds an initial box from norm bounds on
-the preconditioned residual, intersects it with the Hansen-Bliek-Rohn
+with the inverse midpoint ``R``, builds an initial box from norm bounds
+on the preconditioned residual, intersects it with the Hansen-Bliek-Rohn
 bound of the preconditioned system, then tightens the box with interval
-Gauss-Seidel sweeps.  It refuses to answer when regularity could not be
-verified or when the preconditioned system does not contract; it never
-returns an unverified box.
+Gauss-Seidel sweeps.  Its contraction gate,
+``rho(|I - R mid| + |R| rad) < 1``, is itself a sufficient proof that
+the interval matrix is regular, so no separate regularity test runs
+first; when the gate fails the routine raises
+``UnknownRegularityError`` and never returns an unverified box.
 
 ``hull_vertices_orthant`` enumerates the corner solutions of a regular
 interval system restricted to one orthant.  Inside a fixed orthant the
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .intervals import (
     DEFAULT_TOL,
+    REGULARITY_MARGIN,
     IntervalMatrix,
     IntervalVector,
     SignVector,
@@ -194,26 +197,26 @@ def enclose_interval_solution(
 ) -> IntervalVector:
     """Box containing every solution of every member system ``M' x = b'``.
 
-    Requires one of the sufficient regularity tests to pass.  The box is
-    built by midpoint-inverse preconditioning, a norm-bound initial
-    enclosure intersected with the Hansen-Bliek-Rohn bound, and interval
-    Gauss-Seidel refinement (stops once the largest width improvement
-    drops below 1e-10 or after 100 sweeps).
+    With ``R`` the inverse midpoint, the contraction gate
+    ``rho(|I - R mid(M)| + |R| rad(M)) <= 1 - REGULARITY_MARGIN`` proves
+    ``M`` regular and the preconditioned system contracting.  A singular
+    midpoint, a non-finite statistic or a failed gate raise
+    ``UnknownRegularityError``.  The box is built by midpoint-inverse
+    preconditioning, a norm-bound initial enclosure intersected with the
+    Hansen-Bliek-Rohn bound, and interval Gauss-Seidel refinement (stops
+    once the largest width improvement drops below 1e-10 or after 100
+    sweeps).
     """
     m, n = matrix.shape
     if m != n:
         raise DimensionError(f"enclosure needs a square system, got {matrix.shape}")
     if len(rhs) != n:
         raise DimensionError(f"right side has length {len(rhs)}, expected {n}")
-    check = beeck_regular(matrix)
-    if not check.verified:
-        check = rex_rohn_regular(matrix)
-    if not check.verified:
-        raise UnknownRegularityError(
-            "unknown-regularity: neither sufficient condition verified the matrix"
-        )
 
-    inv_mid = np.linalg.inv(matrix.mid)
+    try:
+        inv_mid = np.linalg.inv(matrix.mid)
+    except np.linalg.LinAlgError as exc:
+        raise UnknownRegularityError("unknown-regularity: midpoint is singular") from exc
     pre_mid = inv_mid @ matrix.mid
     pre_rad = np.abs(inv_mid) @ matrix.rad
     rhs_mid = inv_mid @ rhs.mid
@@ -221,11 +224,13 @@ def enclose_interval_solution(
 
     # distance of the preconditioned family from the identity
     gap = np.abs(np.eye(n) - pre_mid) + pre_rad
+    if not np.all(np.isfinite(gap)):
+        raise UnknownRegularityError("unknown-regularity: contraction statistic is not finite")
     rho = float(np.max(np.abs(np.linalg.eigvals(gap))))
-    if rho > 1.0 - 1e-9:
-        raise NumericalError(
-            f"preconditioned system does not contract (statistic {rho:.6f}); "
-            "cannot produce a verified enclosure"
+    if rho > 1.0 - REGULARITY_MARGIN:
+        raise UnknownRegularityError(
+            f"unknown-regularity: preconditioned system does not contract "
+            f"(statistic {rho:.6f}); cannot produce a verified enclosure"
         )
 
     x_tilde = solve_square(matrix.mid, rhs.mid)

@@ -32,21 +32,13 @@ from .intervals import (
     IntervalMatrix,
     IntervalVector,
     SignVector,
+    _as_float_array,
+    _freeze,
     realize_rs,
     realize_s,
     sign_of,
 )
 from .simplex import Status, _solve_inequality
-
-
-def _frozen_array(value, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.ndim != ndim:
-        raise DimensionError(f"{what} must be {ndim}-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{what} must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -93,6 +85,33 @@ class AvlpProblem:
     def n(self) -> int:
         return self.A.inf.shape[1]
 
+    def best_corner(self, s: SignVector) -> "Realization":
+        """Corner realization of the best case at sign ``s``.
+
+        Matrix ``mid(A) - rad(A) diag(s)``, cost ``mid(c) + diag(s)
+        rad(c)``, and the permissive bounds ``sup(b)``, ``sup(D)``.
+        """
+        return Realization(
+            A=realize_rs(self.A, np.ones(self.m), s),
+            b=self.b.sup,
+            c=realize_s(self.c, s),
+            D=self.D.sup,
+        )
+
+    def worst_corner(self, s: SignVector) -> "Realization":
+        """Corner realization of the worst case at sign ``s``.
+
+        Matrix ``mid(A) + rad(A) diag(s)``, cost ``mid(c) - diag(s)
+        rad(c)``, and the stingy bounds ``inf(b)``, ``inf(D)``.
+        """
+        flipped = s.negate()
+        return Realization(
+            A=realize_rs(self.A, np.ones(self.m), flipped),
+            b=self.b.inf,
+            c=realize_s(self.c, flipped),
+            D=self.D.inf,
+        )
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -104,10 +123,9 @@ class Realization:
     D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _frozen_array(self.A, 2, "A"))
-        object.__setattr__(self, "b", _frozen_array(self.b, 1, "b"))
-        object.__setattr__(self, "c", _frozen_array(self.c, 1, "c"))
-        object.__setattr__(self, "D", _frozen_array(self.D, 2, "D"))
+        for name, ndim in (("A", 2), ("b", 1), ("c", 1), ("D", 2)):
+            arr = _as_float_array(getattr(self, name), ndim, name)
+            object.__setattr__(self, name, _freeze(arr))
 
     def program(self) -> GenAvlpProgram:
         return from_realization(self.A, self.b, self.c, self.D)
@@ -183,24 +201,15 @@ def best_case(
 
     The combined program maximizes ``mid(c) @ x + rad(c) @ |x|``
     subject to ``mid(A) x - (rad(A) + sup(D)) |x| <= sup(b)``; its
-    value is the exact best case.  The witness realization attains that
-    value: at the optimal sign ``s`` it picks the matrix corner
-    ``mid(A) - rad(A) diag(s)``, the cost corner ``mid(c) + diag(s)
-    rad(c)``, and the permissive bounds ``sup(b)``, ``sup(D)``.  No
-    witness is returned when every realization is infeasible.
+    value is the exact best case.  The witness realization
+    ``problem.best_corner(s)`` at the optimal sign ``s`` attains that
+    value.  No witness is returned when every realization is infeasible.
     """
     out = solve_gen_avlp(_best_program(problem), tol=tol, orthant_cap=orthant_cap)
     if out.status is Status.INFEASIBLE:
         return -np.inf, None
     s = out.sign if out.status is Status.OPTIMAL else out.orthant
-    s_arr = s.as_array()
-    witness = Realization(
-        A=realize_rs(problem.A, np.ones(problem.m), s_arr),
-        b=problem.b.sup,
-        c=realize_s(problem.c, s_arr),
-        D=problem.D.sup,
-    )
-    return out.value, witness
+    return out.value, problem.best_corner(s)
 
 
 def relaxed_interval_lp(
@@ -241,32 +250,24 @@ def lower_tightness(
     """Certify that the worst-case lower bound is exact.
 
     ``s_star`` must be the sign of an optimizer of the lower-bound
-    program.  The test builds the realization with matrix corner
-    ``mid(A) + rad(A) diag(s*)``, cost corner ``mid(c) - diag(s*)
-    rad(c)`` and stingy bounds ``inf(b)``, ``inf(D)``, and asks whether
-    that realization attains its optimum at a point whose componentwise
+    program.  The test builds the realization ``problem.worst_corner(s*)``
+    and asks whether it attains its optimum at a point whose componentwise
     signs match ``s*`` (zeros are compatible with either sign).  When
     it does, the realization's value equals the lower bound, which is
     therefore the exact worst case.  The certificate is sufficient
     only: False does not refute tightness.
     """
-    s_arr = s_star.as_array()
-    lhs = realize_rs(problem.A, np.ones(problem.m), -s_arr)
-    cost = realize_s(problem.c, -s_arr)
-    relief = problem.D.inf
-    rhs = problem.b.inf
-    out = solve_gen_avlp(
-        from_realization(lhs, rhs, cost, relief), tol=tol, orthant_cap=orthant_cap
-    )
+    corner = problem.worst_corner(s_star)
+    out = solve_gen_avlp(corner.program(), tol=tol, orthant_cap=orthant_cap)
     if out.status is not Status.OPTIMAL:
         return False
     # value of the same realization restricted to the closed orthant of
     # s*; equality means some global optimizer lives there
-    n = problem.n
+    s_arr = s_star.as_array()
     restricted = _solve_inequality(
-        np.vstack([lhs - relief * s_arr[None, :], -np.diag(s_arr)]),
-        np.concatenate([rhs, np.zeros(n)]),
-        cost,
+        np.vstack([corner.A - corner.D * s_arr[None, :], -np.diag(s_arr)]),
+        np.concatenate([corner.b, np.zeros(problem.n)]),
+        corner.c,
         None,
         tol,
     )
@@ -285,28 +286,24 @@ def worst_upper_bound(
 
     Starting from the midpoint matrix and cost, each step solves the
     realization with bounds ``inf(b)``, ``inf(D)``, reads the sign
-    ``s`` of its optimizer (of its ray when unbounded), and moves the
-    matrix to ``mid(A) + rad(A) diag(s)`` and the cost to
-    ``mid(c) - diag(s) rad(c)``.  The bound is the running minimum of
-    the iterate values.  Iteration stops when a sign repeats, when the
-    value stops improving by more than ``tol``, or after ``max_iters``
-    steps.  An infeasible iterate proves the worst case is exactly
-    ``-inf`` and stops immediately; an unbounded iterate contributes
-    ``+inf`` and the iteration continues along its ray's sign.
+    ``s`` of its optimizer (of its ray when unbounded), and moves to
+    the realization ``problem.worst_corner(s)``.  The bound is the
+    running minimum of the iterate values.  Iteration stops when a
+    sign repeats, when the value stops improving by more than ``tol``,
+    or after ``max_iters`` steps.  An infeasible iterate proves the
+    worst case is exactly ``-inf`` and stops immediately; an unbounded
+    iterate contributes ``+inf`` and the iteration continues along its
+    ray's sign.
     """
-    lhs = problem.A.mid
-    cost = problem.c.mid
-    rhs = problem.b.inf
-    relief = problem.D.inf
-
+    current = Realization(
+        A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
+    )
     bound = np.inf
     witness: Realization | None = None
     log: list[IterationStep] = []
     visited: set[tuple[int, ...]] = set()
-    ones = np.ones(problem.m)
 
     for index in range(max_iters):
-        current = Realization(A=lhs, b=rhs, c=cost, D=relief)
         out = solve_gen_avlp(current.program(), tol=tol, orthant_cap=orthant_cap)
         if out.status is Status.INFEASIBLE:
             bound = -np.inf
@@ -330,9 +327,7 @@ def worst_upper_bound(
         if s.entries in visited:
             break
         visited.add(s.entries)
-        s_arr = s.as_array()
-        lhs = realize_rs(problem.A, ones, -s_arr)
-        cost = realize_s(problem.c, -s_arr)
+        current = problem.worst_corner(s)
 
     return bound, witness, tuple(log)
 

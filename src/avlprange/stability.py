@@ -19,7 +19,7 @@ absolute-value system built from the basic rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -41,8 +41,6 @@ from .intervals import (
     all_sign_vectors,
     beeck_regular,
     interval_matvec,
-    realize_rs,
-    realize_s,
     rex_rohn_regular,
     sign_of,
 )
@@ -387,10 +385,8 @@ def worst_case_bstable(
     The worst-case optimizer is the unique solution ``x*`` of the
     square system ``mid(A)_B x + (rad(A) - inf(D))_B |x| = inf(b)_B``;
     the value is ``mid(c) @ x* - rad(c) @ |x*|``.  The returned witness
-    realization attains it: with ``s = sign(x*)`` the basic rows take
-    the corner ``mid(A) + rad(A) diag(s)``, the cost takes ``mid(c) -
-    diag(s) rad(c)``, bounds are ``inf(b)`` and ``inf(D)``, and the
-    nonbasic rows (free to be anything) are reported at ``mid(A)``.
+    realization attains it: it is ``problem.worst_corner(sign(x*))``
+    with the nonbasic rows (free to be anything) reported at ``mid(A)``.
     """
     rows = _basis_rows(basis, problem)
     _warn_unverified(
@@ -407,17 +403,10 @@ def worst_case_bstable(
     x_star = solve_gave(system, cap=cap, tol=tol)
     value = float(problem.c.mid @ x_star - problem.c.rad @ np.abs(x_star))
 
-    s_arr = sign_of(x_star).as_array()
-    corner = realize_rs(problem.A, np.ones(problem.m), -s_arr)
+    corner = problem.worst_corner(sign_of(x_star))
     lhs = problem.A.mid.copy()
-    lhs[rows] = corner[rows]
-    witness = Realization(
-        A=lhs,
-        b=problem.b.inf,
-        c=realize_s(problem.c, -s_arr),
-        D=problem.D.inf,
-    )
-    return value, x_star, witness
+    lhs[rows] = corner.A[rows]
+    return value, x_star, replace(corner, A=lhs)
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,21 @@ def test_stability_command(capsys, fixtures_dir):
     assert cert["primal_margin"] == pytest.approx(0.4334, abs=1e-3)
 
 
+def test_stability_with_singular_basic_rows_is_unknown(capsys, tmp_path):
+    document = {
+        "A": {"mid": [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], "rad": [[0.0, 0.0]] * 3},
+        "b": {"mid": [1.0, 1.0, 1.0], "rad": [0.0, 0.0, 0.0]},
+        "c": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
+        "D": {"mid": [[0.0, 0.0]] * 3, "rad": [[0.0, 0.0]] * 3},
+    }
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, report, _ = run_json(capsys, "stability", str(path), "--basis", "1,2")
+    assert code == 0
+    assert report["values"]["status"] == "unknown"
+    assert report["certificates"]["stability"]["regularity"]["reason"] == "midpoint-singular"
+
+
 def test_vertices_command(capsys, fixtures_dir):
     code, report, _ = run_json(
         capsys,

@@ -156,6 +156,13 @@ class TestRegularity:
         assert check.verified
         assert check.statistic < 1.0
 
+    def test_rex_rohn_reports_singular_midpoint(self):
+        # float SVD leaves a tiny nonzero smallest singular value here
+        m = IntervalMatrix.from_point([[1.0, 1.0], [1.0, 1.0]])
+        check = rex_rohn_regular(m)
+        assert not check.verified
+        assert check.reason == "midpoint-singular"
+
     def test_rex_rohn_declines_boundary_case(self):
         m = IntervalMatrix.from_midrad(np.eye(2), np.eye(2))
         assert not rex_rohn_regular(m).verified

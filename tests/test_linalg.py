@@ -10,8 +10,10 @@ from avlprange import (
     SignVector,
     SingularMatrixError,
     UnknownRegularityError,
+    beeck_regular,
     enclose_interval_solution,
     hull_vertices_orthant,
+    rex_rohn_regular,
     solve_square,
 )
 from avlprange.errors import DimensionError, OrthantEscapeError
@@ -107,6 +109,18 @@ class TestEnclosure:
         b = IntervalVector.from_point([1.0, 1.0])
         with pytest.raises(UnknownRegularityError):
             enclose_interval_solution(a, b)
+
+        singular = IntervalMatrix.from_point([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(UnknownRegularityError):
+            enclose_interval_solution(singular, b)
+
+        # regular by the singular-value test, but the preconditioned
+        # system does not contract
+        rotated = IntervalMatrix.from_midrad([[1.0, 1.0], [-1.0, 1.0]], 1.2 * np.eye(2))
+        assert rex_rohn_regular(rotated).verified
+        assert not beeck_regular(rotated).verified
+        with pytest.raises(UnknownRegularityError):
+            enclose_interval_solution(rotated, b)
 
     def test_shape_mismatch_rejected(self):
         a = IntervalMatrix.from_point([[1.0, 0.0], [0.0, 1.0]])

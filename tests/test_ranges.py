@@ -5,16 +5,19 @@ import pytest
 
 from avlprange import (
     AvlpProblem,
+    GenAvlpProgram,
     InputError,
     IntervalMatrix,
     IntervalVector,
     SignVector,
     Status,
+    all_sign_vectors,
     best_case,
     full_range,
     lower_tightness,
     relaxed_interval_lp,
     sample_realization,
+    solve_gen_avlp,
     worst_lower_bound,
     worst_upper_bound,
 )
@@ -114,6 +117,62 @@ class TestExampleFixtures:
         assert witness is not None
         assert witness.solve().value == pytest.approx(bound, abs=1e-9)
         assert log[-1].bound == pytest.approx(bound, abs=1e-12)
+
+
+def _all_interval_problem():
+    """Example 4's matrix with every other datum widened as well, so
+    that each endpoint choice shows."""
+    return AvlpProblem(
+        A=IntervalMatrix.from_midrad(
+            [[1.0, 1.0], [-2.0, 4.0], [-6.0, 2.0], [4.0, -7.0]],
+            [[0.05, 0.05], [0.1, 0.2], [0.3, 0.1], [0.2, 0.35]],
+        ),
+        b=IntervalVector.from_midrad([12.0, 18.0, 36.0, 26.0], [0.5, 0.2, 0.1, 0.3]),
+        c=IntervalVector.from_midrad([1.0, 2.0], [0.1, 0.3]),
+        D=IntervalMatrix.from_midrad(
+            [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+            [[0.0, 0.0], [0.1, 0.2], [0.3, 0.1], [0.2, 0.1]],
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "all-interval"]
+)
+def test_corners_sit_on_the_documented_endpoints(name, request):
+    if name == "all-interval":
+        problem = _all_interval_problem()
+    else:
+        problem = request.getfixturevalue(name)
+    A, b, c, D = problem.A, problem.b, problem.c, problem.D
+    for s in all_sign_vectors(problem.n):
+        plus = s.as_array()[None, :] > 0
+        best = problem.best_corner(s)
+        assert np.array_equal(best.A, np.where(plus, A.inf, A.sup))
+        assert np.array_equal(best.c, np.where(plus[0], c.sup, c.inf))
+        assert np.array_equal(best.b, b.sup)
+        assert np.array_equal(best.D, D.sup)
+        worst = problem.worst_corner(s)
+        assert np.array_equal(worst.A, np.where(plus, A.sup, A.inf))
+        assert np.array_equal(worst.c, np.where(plus[0], c.inf, c.sup))
+        assert np.array_equal(worst.b, b.inf)
+        assert np.array_equal(worst.D, D.inf)
+
+    # the best-case witness is the best corner at the combined program's sign
+    out = solve_gen_avlp(
+        GenAvlpProgram(
+            linear_cost=c.mid,
+            abs_cost=c.rad,
+            linear_lhs=A.mid,
+            abs_lhs=-(A.rad + D.sup),
+            rhs=b.sup,
+        )
+    )
+    value, witness = best_case(problem)
+    assert value == out.value
+    expected = problem.best_corner(out.sign if out.status is Status.OPTIMAL else out.orthant)
+    for key in ("A", "b", "c", "D"):
+        assert np.array_equal(getattr(witness, key), getattr(expected, key))
 
 
 class TestPointData:
