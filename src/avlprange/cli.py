@@ -34,7 +34,7 @@ from .intervals import (
     sign_of,
 )
 from .linalg import hull_vertices_orthant, solve_square
-from .problem_io import parse_problem, problem_from_dict
+from .problem_io import _decode_document, parse_problem, problem_from_dict
 from .ranges import (
     AvlpProblem,
     Realization,
@@ -446,11 +446,7 @@ def run_command(args) -> dict:
     """Execute one parsed command and assemble its report."""
     path = Path(args.path)
     raw = path.read_bytes()
-    try:
-        document = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"problem file {path} is not valid JSON: {exc}") from exc
-    problem = problem_from_dict(document)
+    problem = problem_from_dict(_decode_document(raw, path))
     payload = _HANDLERS[args.command](problem, args)
     report = {
         "command": args.command,

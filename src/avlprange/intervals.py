@@ -30,7 +30,7 @@ for square interval matrices.  Both tests only ever answer "verified" or
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -73,7 +73,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _array_fields_eq(self, other):
+    """``__eq__`` for a dataclass of arrays: exact entrywise equality of
+    every field, as one bool.  A class that uses it stays unhashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(
+        np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class _IntervalArray:
     """Entrywise interval array ``[inf, sup]`` of a fixed dimension.
 
@@ -85,6 +95,8 @@ class _IntervalArray:
 
     _ndim: ClassVar[int]
     _what: ClassVar[str]
+
+    __eq__ = _array_fields_eq
 
     def __post_init__(self):
         inf = _as_float_array(self.inf, self._ndim, f"{self._what} inf")

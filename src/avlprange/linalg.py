@@ -2,15 +2,15 @@
 vertex enumeration.
 
 The enclosure routine covers the united solution set of ``M x = b``
-for a square interval matrix and interval right side.  It preconditions
-with the inverse midpoint ``R``, builds an initial box from norm bounds
-on the preconditioned residual, intersects it with the Hansen-Bliek-Rohn
-bound of the preconditioned system, then tightens the box with interval
-Gauss-Seidel sweeps.  Its contraction gate,
-``rho(|I - R mid| + |R| rad) < 1``, is itself a sufficient proof that
-the interval matrix is regular, so no separate regularity test runs
-first; when the gate fails the routine raises
-``UnknownRegularityError`` and never returns an unverified box.
+for a square interval matrix and interval right side with one formula:
+the Hansen-Bliek-Rohn bound of the system preconditioned by the
+inverse midpoint ``R``.  Its contraction gate,
+``rho(|I - R mid| + |R| rad) < 1``, proves the interval matrix regular
+and makes ``R M`` an H-matrix, which is the assumption under which the
+Hansen-Bliek-Rohn bound is valid and sharp for the preconditioned
+system, so no separate regularity test runs first.  When the gate
+fails, or the bound cannot be formed in floating point, the routine
+raises ``UnknownRegularityError`` and never returns an unverified box.
 
 ``hull_vertices_orthant`` enumerates the corner solutions of a regular
 interval system restricted to one orthant.  Inside a fixed orthant the
@@ -54,9 +54,6 @@ RESIDUAL_RTOL = 1e-8
 #: Points closer than this in the max norm are duplicates in
 #: hull_vertices_orthant.
 DEDUP_TOL = 1e-7
-
-_GS_IMPROVEMENT = 1e-10
-_GS_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -131,17 +128,6 @@ def solve_square(matrix, rhs) -> np.ndarray:
     return x
 
 
-def _interval_mul(al, au, bl, bu):
-    p1 = al * bl
-    p2 = al * bu
-    p3 = au * bl
-    p4 = au * bu
-    return (
-        np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)),
-        np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)),
-    )
-
-
 def _interval_div(al, au, bl, bu):
     # requires 0 outside [bl, bu]
     q1 = al / bl
@@ -156,9 +142,11 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
 
     Works on the comparison system: mignitude on the diagonal,
     negated magnitudes off it.  Valid whenever the comparison matrix
-    has a nonnegative inverse, which the caller's contraction gate
-    makes the common case; returns None instead of guessing when the
-    assumptions fail numerically.
+    has a nonnegative inverse (the system is an H-matrix), which the
+    contraction gate of ``enclose_interval_solution`` guarantees.  The
+    checks below return None instead of guessing when rounding breaks
+    those assumptions; the caller then raises
+    ``UnknownRegularityError``.
     """
     n = a_lo.shape[0]
     diag_lo = np.diag(a_lo)
@@ -190,22 +178,17 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
     return lo, hi
 
 
-def enclose_interval_solution(
-    matrix: IntervalMatrix,
-    rhs: IntervalVector,
-    tol: float = DEFAULT_TOL,
-) -> IntervalVector:
+def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector:
     """Box containing every solution of every member system ``M' x = b'``.
 
     With ``R`` the inverse midpoint, the contraction gate
     ``rho(|I - R mid(M)| + |R| rad(M)) <= 1 - REGULARITY_MARGIN`` proves
-    ``M`` regular and the preconditioned system contracting.  A singular
-    midpoint, a non-finite statistic or a failed gate raise
-    ``UnknownRegularityError``.  The box is built by midpoint-inverse
-    preconditioning, a norm-bound initial enclosure intersected with the
-    Hansen-Bliek-Rohn bound, and interval Gauss-Seidel refinement (stops
-    once the largest width improvement drops below 1e-10 or after 100
-    sweeps).
+    ``M`` regular and makes the preconditioned matrix ``R M`` an
+    H-matrix, which is exactly what the Hansen-Bliek-Rohn bound
+    assumes; the box returned is that bound for the preconditioned
+    system ``R M x = R b``.  A singular midpoint, a non-finite
+    statistic, a failed gate, or a bound that cannot be formed in
+    floating point raise ``UnknownRegularityError``.
     """
     m, n = matrix.shape
     if m != n:
@@ -233,60 +216,14 @@ def enclose_interval_solution(
             f"(statistic {rho:.6f}); cannot produce a verified enclosure"
         )
 
-    x_tilde = solve_square(matrix.mid, rhs.mid)
-    res_mid = rhs_mid - pre_mid @ x_tilde
-    res_mag = np.abs(res_mid) + rhs_rad + pre_rad @ np.abs(x_tilde)
-    gap_norm = float(np.max(np.sum(gap, axis=1)))
-    if gap_norm < 1.0:
-        radius = np.full(n, float(np.max(res_mag)) / (1.0 - gap_norm))
-    else:
-        radius = np.linalg.solve(np.eye(n) - gap, res_mag)
-    radius = np.maximum(radius, 0.0) + tol
-    lo = x_tilde - radius
-    hi = x_tilde + radius
-
-    a_lo = pre_mid - pre_rad
-    a_hi = pre_mid + pre_rad
-    b_lo = rhs_mid - rhs_rad
-    b_hi = rhs_mid + rhs_rad
-    bound = _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi)
-    if bound is not None:
-        lo = np.maximum(lo, bound[0])
-        hi = np.minimum(hi, bound[1])
-        crossing = lo > hi
-        if np.any(crossing):
-            if np.max(lo - hi) > 1e-10 * max(1.0, float(np.max(np.abs(lo)))):
-                raise NumericalError(
-                    "enclosure intersection emptied; inconsistent bounds"
-                )
-            mid_fix = 0.5 * (lo + hi)
-            lo[crossing] = mid_fix[crossing]
-            hi[crossing] = mid_fix[crossing]
-    for _ in range(_GS_MAX_SWEEPS):
-        best_gain = 0.0
-        for i in range(n):
-            pl, ph = _interval_mul(a_lo[i], a_hi[i], lo, hi)
-            pl[i] = 0.0
-            ph[i] = 0.0
-            num_lo = b_lo[i] - ph.sum()
-            num_hi = b_hi[i] - pl.sum()
-            if a_lo[i, i] <= 0.0 <= a_hi[i, i]:
-                continue  # cannot divide; leave the row to other sweeps
-            q_lo, q_hi = _interval_div(num_lo, num_hi, a_lo[i, i], a_hi[i, i])
-            new_lo = max(lo[i], q_lo)
-            new_hi = min(hi[i], q_hi)
-            if new_lo > new_hi:
-                if new_lo - new_hi > 1e-10 * max(1.0, abs(new_lo)):
-                    raise NumericalError(
-                        "Gauss-Seidel intersection emptied; inconsistent enclosure state"
-                    )
-                new_lo = new_hi = 0.5 * (new_lo + new_hi)
-            best_gain = max(best_gain, (hi[i] - lo[i]) - (new_hi - new_lo))
-            lo[i] = new_lo
-            hi[i] = new_hi
-        if best_gain < _GS_IMPROVEMENT:
-            break
-    return IntervalVector(lo, hi)
+    bound = _hansen_bliek_rohn(
+        pre_mid - pre_rad, pre_mid + pre_rad, rhs_mid - rhs_rad, rhs_mid + rhs_rad
+    )
+    if bound is None:
+        raise UnknownRegularityError(
+            "unknown-regularity: Hansen-Bliek-Rohn bound could not be formed"
+        )
+    return IntervalVector(*bound)
 
 
 def hull_vertices_orthant(

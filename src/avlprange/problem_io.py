@@ -62,14 +62,17 @@ def problem_from_dict(document: dict) -> AvlpProblem:
     return AvlpProblem(A=parts["A"], b=parts["b"], c=parts["c"], D=parts["D"])
 
 
+def _decode_document(raw: bytes, path):
+    """Parse the bytes of a problem file as UTF-8 JSON."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"problem file {path} is not valid JSON: {exc}") from exc
+
+
 def parse_problem(path) -> AvlpProblem:
     """Read and validate a problem file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"problem file {path} is not valid JSON: {exc}") from exc
-    return problem_from_dict(document)
+    return problem_from_dict(_decode_document(Path(path).read_bytes(), path))
 
 
 def serialize_problem(

@@ -32,6 +32,7 @@ from .intervals import (
     IntervalMatrix,
     IntervalVector,
     SignVector,
+    _array_fields_eq,
     _as_float_array,
     _freeze,
     realize_rs,
@@ -113,7 +114,7 @@ class AvlpProblem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realization:
     """One point selection of the interval data."""
 
@@ -121,6 +122,8 @@ class Realization:
     b: np.ndarray
     c: np.ndarray
     D: np.ndarray
+
+    __eq__ = _array_fields_eq
 
     def __post_init__(self):
         for name, ndim in (("A", 2), ("b", 1), ("c", 1), ("D", 2)):

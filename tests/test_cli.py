@@ -219,6 +219,16 @@ def test_input_errors_exit_2(capsys, fixtures_dir):
     assert "--corner" in err
 
 
+def test_undecodable_realization_file_exits_2(capsys, fixtures_dir, tmp_path):
+    path = tmp_path / "realization.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(
+        capsys, "solve", str(fixtures_dir / "example1.json"), "--realization", str(path)
+    )
+    assert code == 2
+    assert "input error" in err
+
+
 def test_numerical_failures_exit_3(capsys, tmp_path):
     document = {
         "A": {"mid": [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], "rad": [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]]},

@@ -7,6 +7,7 @@ from avlprange import (
     InputError,
     IntervalMatrix,
     IntervalVector,
+    Realization,
     SignVector,
     all_sign_vectors,
     beeck_regular,
@@ -68,6 +69,32 @@ class TestContainers:
         v = IntervalVector([0.0], [1.0])
         with pytest.raises(ValueError):
             v.inf[0] = 5.0
+
+    def test_equality_is_exact_and_unhashable(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        pairs = [
+            (
+                IntervalVector([0.0, 1.0], [2.0, 3.0]),
+                IntervalVector(np.array([0.0, 1.0]), np.array([2.0, 3.0])),
+                IntervalVector([0.0, 1.0], [2.0, 3.5]),
+            ),
+            (
+                IntervalMatrix.from_midrad(a, np.ones((2, 2))),
+                IntervalMatrix(a - 1.0, a + 1.0),
+                IntervalMatrix.from_point(a),
+            ),
+            (
+                Realization(A=a, b=[1.0, 2.0], c=[0.5, 0.5], D=np.zeros((2, 2))),
+                Realization(A=a.copy(), b=[1.0, 2.0], c=[0.5, 0.5], D=np.zeros((2, 2))),
+                Realization(A=a, b=[1.0, 2.0], c=[0.5, 0.5], D=np.eye(2)),
+            ),
+        ]
+        for first, same, other in pairs:
+            assert (first == same) is True
+            assert (first == other) is False
+            assert (first != other) is True
+            with pytest.raises(TypeError):
+                hash(first)
 
 
 class TestSignVectors:

@@ -1,5 +1,7 @@
 """Factorizations, verified enclosures, and corner sweeps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,20 +71,49 @@ class TestEnclosure:
         assert box.contains([1.0, 2.0])
 
     def test_contains_every_corner_solution(self):
-        a = IntervalMatrix.from_midrad(
-            [[1.0, 1.0], [-2.0, 4.0]], [[0.05, 0.05], [1.1, 1.2]]
+        # Rohn's corner solutions (mid - diag(y) rad diag(z)) x = mid(b) + diag(y) rad(b)
+        # all solve member systems, so a sound box holds every one of them
+        rng = np.random.default_rng(31)
+        systems = [
+            (
+                IntervalMatrix.from_midrad(
+                    [[1.0, 1.0], [-2.0, 4.0]], [[0.05, 0.05], [1.1, 1.2]]
+                ),
+                IntervalVector.from_point([12.0, 18.0]),
+            )
+        ]
+        for n in (2, 2, 3, 3):
+            systems.append(
+                (
+                    IntervalMatrix.from_midrad(
+                        rng.normal(size=(n, n)) + 3 * np.eye(n), rng.uniform(0, 0.3, (n, n))
+                    ),
+                    IntervalVector.from_midrad(rng.normal(size=n), rng.uniform(0, 0.5, n)),
+                )
+            )
+        # radii scaled so that the contraction statistic is 0.95
+        mid = rng.normal(size=(3, 3)) + 3 * np.eye(3)
+        shape = rng.uniform(0.1, 1.0, (3, 3))
+        scale = 0.95 / np.max(np.abs(np.linalg.eigvals(np.abs(np.linalg.inv(mid)) @ shape)))
+        systems.append(
+            (
+                IntervalMatrix.from_midrad(mid, scale * shape),
+                IntervalVector.from_midrad(rng.normal(size=3), rng.uniform(0, 0.5, 3)),
+            )
         )
-        b = IntervalVector.from_point([12.0, 18.0])
-        box = enclose_interval_solution(a, b)
-        for r0 in (-1.0, 1.0):
-            for r1 in (-1.0, 1.0):
-                for s0 in (-1.0, 1.0):
-                    for s1 in (-1.0, 1.0):
-                        corner = a.mid - np.outer([r0, r1], [1.0, 1.0]) * a.rad * np.array(
-                            [s0, s1]
-                        )[None, :]
-                        x = np.linalg.solve(corner, b.mid)
-                        assert box.contains(x, tol=1e-9)
+        statistics = []
+        for a, b in systems:
+            n = len(b)
+            inv_mid = np.linalg.inv(a.mid)
+            gap = np.abs(np.eye(n) - inv_mid @ a.mid) + np.abs(inv_mid) @ a.rad
+            statistics.append(float(np.max(np.abs(np.linalg.eigvals(gap)))))
+            box = enclose_interval_solution(a, b)
+            for y in itertools.product((-1.0, 1.0), repeat=n):
+                for z in itertools.product((-1.0, 1.0), repeat=n):
+                    corner = a.mid - np.outer(y, z) * a.rad
+                    x = np.linalg.solve(corner, b.mid + np.array(y) * b.rad)
+                    assert box.contains(x, tol=1e-9)
+        assert max(statistics) > 0.9
 
     def test_matches_known_widened_block_box(self):
         a = IntervalMatrix.from_midrad(
