@@ -23,6 +23,15 @@ go to the lexicographically smallest sign vector (all-minus first), so
 results are deterministic.  A program that is convex in every column is
 one LP.
 
+The orthant LPs of one program share their shape, so they are stacked
+in lexicographic chunks and pivoted in lockstep by
+``simplex._solve_inequality_batch``; each gets exactly the outcome the
+scalar kernel would give.  An LP that needs one of the scalar kernel's
+rare branches (a drifted phase one, the feasibility probe, a redundant
+row, the iteration limit) is handed back and re-solved by
+``simplex._solve_inequality``.  A single LP is always solved by the
+scalar kernel, which is faster for one.
+
 The enumeration is exact but exponential, so problems are refused
 beyond a configurable cap (default 16) on the number of variables; the
 cap counts all ``n`` variables, not only the enumerated ones.
@@ -30,16 +39,19 @@ cap counts all ``n`` variables, not only the enumerated ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InputError, SizeCapError
 from .intervals import DEFAULT_TOL, SignVector, sign_of
-from .simplex import Status, _solve_inequality
+from .simplex import Status, _solve_inequality, _solve_inequality_batch
 
 DEFAULT_ORTHANT_CAP = 16
+
+#: Tableau bytes of one lockstep chunk of orthant LPs; bounds the
+#: sweep's working memory whatever the number of orthants.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -170,6 +182,11 @@ def solve_gen_avlp(
     """Solve a generalized program by orthant decomposition over the
     columns with a nonconvex ``|x|`` term.
 
+    The orthant LPs are solved in lockstep chunks of at most
+    ``_CHUNK_BYTES`` of tableau; those the batch hands back, and the
+    single LP of a program with no enumerated column, go to the scalar
+    kernel.
+
     With ``minimize=True`` the objective is minimized instead; the
     infeasible value is then ``+inf`` and the unbounded value ``-inf``.
     Raises ``SizeCapError`` when the variable count exceeds
@@ -195,7 +212,6 @@ def solve_gen_avlp(
     lhs = np.zeros((m + k + 2 * c, n + c))
     lhs[:m, :n] = G
     lhs[:m, n:] = H[:, conv]
-    sign_rows = m + np.arange(k)
     lower = m + k + 2 * np.arange(c)
     t_cols = n + np.arange(c)
     lhs[lower, conv] = 1.0
@@ -205,15 +221,36 @@ def solve_gen_avlp(
     rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
     cost = np.concatenate([p, q[conv]])
 
+    def orthant_outcomes():
+        """``(label of the enumerated columns, LP outcome)`` per orthant,
+        in lexicographic order."""
+        if k == 0:
+            yield np.zeros(0), _solve_inequality(lhs, rhs, cost, None, tol)
+            return
+        rows, cols = lhs.shape
+        chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
+        # enumerated column t takes bit k-1-t of the orthant's index, so
+        # index order is lexicographic sign order
+        shifts = np.arange(k - 1, -1, -1)
+        for start in range(0, 2**k, chunk):
+            index = np.arange(start, min(start + chunk, 2**k))
+            signs = np.where((index[:, None] >> shifts) & 1, 1.0, -1.0)
+            lhs_stack = np.broadcast_to(lhs, (index.size, rows, cols)).copy()
+            lhs_stack[:, :m, enum] = G[:, enum] + H[:, enum] * signs[:, None, :]
+            lhs_stack[:, m + np.arange(k), enum] = -signs
+            cost_stack = np.broadcast_to(cost, (index.size, cols)).copy()
+            cost_stack[:, enum] = p[enum] + q[enum] * signs
+            cores = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol)
+            for s_arr, G_b, c_b, core in zip(signs, lhs_stack, cost_stack, cores):
+                if core is None:
+                    # a rare branch of the scalar kernel
+                    core = _solve_inequality(G_b, rhs, c_b, None, tol)
+                yield s_arr, core
+
     records: list[OrthantRecord] = []
     best_core = None
     best_sign: SignVector | None = None
-    for bits in itertools.product((-1.0, 1.0), repeat=k):
-        s_arr = np.array(bits)
-        lhs[:m, enum] = G[:, enum] + H[:, enum] * s_arr
-        lhs[sign_rows, enum] = -s_arr
-        cost[enum] = p[enum] + q[enum] * s_arr
-        core = _solve_inequality(lhs, rhs, cost, None, tol)
+    for s_arr, core in orthant_outcomes():
         if core.x is not None:
             core.x = core.x[:n]
         if core.ray is not None:

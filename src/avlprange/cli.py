@@ -54,6 +54,12 @@ from .stability import (
 )
 
 
+#: Largest accepted ``--tol``.  Larger values let the simplex's
+#: feasibility and optimality tests pass wrong answers: at 0.5 the
+#: worst-case bound of fixtures/example1.json is reported tight.
+_MAX_TOL = 1e-3
+
+
 class _UsageError(Exception):
     pass
 
@@ -66,13 +72,15 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="numerical tolerance (default 1e-9)")
+                        help="numerical tolerance, a finite number in (0, 1e-3] "
+                             "(default 1e-9)")
     common.add_argument("--orthant-cap", type=int, default=DEFAULT_ORTHANT_CAP,
                         help="refuse programs with more variables than this; only "
                              "variables with a nonconvex |x| term are split "
                              "into sign orthants, but all count")
     common.add_argument("--max-iters", type=int, default=50,
-                        help="iteration limit of the worst-case upper bound")
+                        help="iteration limit of the worst-case upper bound, "
+                             "at least 1 (default 50)")
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default text)")
 
@@ -444,6 +452,10 @@ _HANDLERS = {
 
 def run_command(args) -> dict:
     """Execute one parsed command and assemble its report."""
+    if not 0.0 < args.tol <= _MAX_TOL:  # also false for nan
+        raise InputError(f"--tol must be a finite number in (0, {_MAX_TOL:g}], got {args.tol}")
+    if args.max_iters < 1:
+        raise InputError(f"--max-iters must be at least 1, got {args.max_iters}")
     path = Path(args.path)
     raw = path.read_bytes()
     problem = problem_from_dict(_decode_document(raw, path))

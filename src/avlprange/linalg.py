@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -77,6 +76,8 @@ class LuFactorization:
         if not np.all(np.isfinite(matrix)):
             raise SingularMatrixError("matrix contains non-finite entries")
         norm = float(np.max(np.sum(np.abs(matrix), axis=1))) if matrix.size else 0.0
+        import scipy.linalg  # deferred: it takes most of the package's import time
+
         try:
             with warnings.catch_warnings():
                 # exact zero pivots are diagnosed below with a typed error
@@ -96,10 +97,14 @@ class LuFactorization:
         return self.lu.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
+        import scipy.linalg
+
         rhs = np.asarray(rhs, dtype=float)
         return scipy.linalg.lu_solve((self.lu, self.piv), rhs, check_finite=False)
 
     def solve_transpose(self, rhs) -> np.ndarray:
+        import scipy.linalg
+
         rhs = np.asarray(rhs, dtype=float)
         return scipy.linalg.lu_solve((self.lu, self.piv), rhs, trans=1, check_finite=False)
 

@@ -17,6 +17,12 @@ lowest-index tie breaks, switching to Bland's rule after a run of
 ``50 * (rows + cols)`` iterations.  Unbounded outcomes carry a
 certified ray ``d`` with ``G d <= 0`` (``= 0`` on equality rows) and
 ``c @ d > 0``.
+
+``_solve_inequality_batch`` pivots a stack of same-shape inequality
+LPs in lockstep with numpy, under the same rules applied per LP, so
+each outcome equals the scalar one bit for bit.  It settles the common
+cases (optimal, and infeasible with the certificate read from phase
+two) and hands the rare ones back to the scalar kernel.
 """
 
 from __future__ import annotations
@@ -330,6 +336,127 @@ def _solve_inequality(
     if feas.status is Status.UNBOUNDED:
         return _Core(Status.INFEASIBLE, -np.inf, certificate=to_rows(feas.ray))
     raise NumericalError("numerical-failure: feasibility probe returned an impossible status")
+
+
+def _run_phase_batch(
+    T: np.ndarray, basis: np.ndarray, ncols: int, tol: float, limit: int, bland_after: int
+) -> np.ndarray:
+    """``run_phase`` of ``_solve_standard`` on a stack of tableaux.
+
+    Every unfinished tableau is priced, ratio-tested and pivoted in one
+    numpy step, and finished ones leave the working set.  Returns per
+    tableau ``-1`` when it reached the phase's optimum, the entering
+    column when it found no pivot row, and ``-2`` on the iteration
+    limit.  ``T`` and ``basis`` are updated in place.
+    """
+    k = basis.shape[1]
+    width = T.shape[2] - 1
+    outcome = np.full(len(T), -2)
+    live = np.arange(len(T))
+    Tw, bw = T, basis
+    degenerate = np.zeros(len(T), dtype=int)
+    for _ in range(limit if live.size else 0):
+        at = np.arange(len(live))
+        rc = Tw[:, k, :ncols]
+        j = np.argmin(rc, axis=1)
+        bland = degenerate > bland_after
+        if bland.any():
+            # Bland: first eligible column
+            j[bland] = np.argmax(rc[bland] < -tol, axis=1)
+        optimal = rc[at, j] >= -tol
+        col = Tw[at, :k, j]
+        eligible = col > _PIVOT_FLOOR
+        ratio = np.divide(Tw[:, :k, -1], col, out=np.full(col.shape, np.inf), where=eligible)
+        no_row = ~optimal & ~eligible.any(axis=1)
+        finished = optimal | no_row
+        if finished.any():
+            outcome[live[optimal]] = -1
+            outcome[live[no_row]] = j[no_row]
+            T[live[finished]] = Tw[finished]
+            basis[live[finished]] = bw[finished]
+            keep = ~finished
+            live, Tw, bw, degenerate = live[keep], Tw[keep], bw[keep], degenerate[keep]
+            if not live.size:
+                return outcome
+            at, j, eligible, ratio = at[: live.size], j[keep], eligible[keep], ratio[keep]
+        theta = ratio.min(axis=1)
+        cutoff = theta + 1e-12 * (1.0 + np.abs(theta))
+        ties = eligible & (ratio <= cutoff[:, None])
+        r = np.argmin(np.where(ties, bw, width), axis=1)
+        degenerate = np.where(theta <= tol, degenerate + 1, 0)
+        # _pivot on every live tableau
+        Tw[at, r] /= Tw[at, r, j][:, None]
+        colvals = Tw[at, :, j]
+        colvals[at, r] = 0.0
+        Tw -= colvals[:, :, None] * Tw[at, r][:, None, :]
+        Tw[at, :, j] = 0.0
+        Tw[at, r, j] = 1.0
+        bw[at, r] = j
+    return outcome
+
+
+def _solve_inequality_batch(
+    G_stack: np.ndarray, g: np.ndarray, c_stack: np.ndarray, tol: float
+) -> list[_Core | None]:
+    """``_solve_inequality(G_stack[b], g, c_stack[b], None, tol)`` for
+    every ``b``, pivoted in lockstep.
+
+    Each LP follows the same two phases, pivot rules, Bland switch and
+    iteration limit as ``_solve_standard``, per LP, so every returned
+    outcome equals the scalar one bit for bit.  The entry is None for
+    an LP that needs one of the scalar kernel's rare branches: phase
+    one without a pivot row (the drift repair), an infeasible phase one
+    (the feasibility probe), a residual basic artificial, or the
+    iteration limit.  Solve those with ``_solve_inequality``.
+    """
+    B, m, n = G_stack.shape
+    # the standard-form dual of each LP: n rows, m columns, rhs c_b
+    sign = np.where(c_stack < 0, -1.0, 1.0)
+    a1 = G_stack.transpose(0, 2, 1) * sign[:, :, None]
+    b1 = c_stack * sign
+    width = m + n
+    T = np.zeros((B, n + 1, width + 1))
+    T[:, :n, :m] = a1
+    T[:, np.arange(n), m + np.arange(n)] = 1.0
+    T[:, :n, -1] = b1
+    T[:, n, :m] = -a1.sum(axis=1)
+    T[:, n, -1] = -b1.sum(axis=1)
+    basis = np.broadcast_to(np.arange(m, width), (B, n)).copy()
+    limit = 50 * (n + m) + 20
+    bland_after = 3 * (n + m)
+
+    phase_one = _run_phase_batch(T, basis, m, tol, limit, bland_after)
+    feas_tol = 1e-7 * (1.0 + np.max(np.abs(b1), axis=1))
+    ok = (phase_one == -1) & (-T[:, n, -1] <= feas_tol) & np.all(basis < m, axis=1)
+    (go,) = np.nonzero(ok)
+    T2 = T[go]
+    basis2 = basis[go]
+    for i in range(len(go)):
+        costrow = np.zeros(width + 1)
+        costrow[:m] = g
+        costrow -= g[basis2[i]] @ T2[i, :n]
+        T2[i, n] = costrow
+    phase_two = _run_phase_batch(T2, basis2, m, tol, limit, bland_after)
+
+    x = sign[go] * -T2[:, n, m:width]
+    z = np.zeros((len(go), m))
+    np.put_along_axis(z, basis2, T2[:, :n, -1], axis=1)
+    small = np.abs(z) < 1e2 * tol
+    z[small] = np.maximum(z[small], 0.0)
+    rows = np.sort(basis2, axis=1).tolist()
+    out: list[_Core | None] = [None] * B
+    for i, b in enumerate(go):
+        j = int(phase_two[i])
+        if j == -1:
+            value = float(c_stack[b] @ x[i])
+            out[b] = _Core(Status.OPTIMAL, value, x=x[i], y=z[i], basis=tuple(rows[i]))
+        elif j >= 0:
+            # dual unbounded below: the primal is infeasible
+            ray = np.zeros(m)
+            ray[j] = 1.0
+            ray[basis2[i]] = -T2[i, :n, j]
+            out[b] = _Core(Status.INFEASIBLE, -np.inf, certificate=ray)
+    return out
 
 
 def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:

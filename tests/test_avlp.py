@@ -13,7 +13,9 @@ from avlprange import (
     min_form,
     solve_gen_avlp,
 )
+from avlprange import simplex
 from avlprange.errors import DimensionError
+from avlprange.simplex import _solve_inequality, _solve_inequality_batch
 
 from oracles import avlp_oracle
 
@@ -278,3 +280,91 @@ def test_mixed_columns_agree_with_oracle():
             assert out.value == pytest.approx(
                 float(prog.linear_cost @ x + prog.abs_cost @ np.abs(x)), abs=1e-7
             )
+
+
+def _assert_same_core(got, ref):
+    assert got.status is ref.status
+    assert got.value == ref.value
+    assert got.basis == ref.basis
+    for field in ("x", "y", "ray", "certificate"):
+        a, b = getattr(got, field), getattr(ref, field)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+def _batch_against_scalar(G_stack, g, c_stack):
+    """Batch outcomes, each checked bit for bit against the scalar kernel."""
+    out = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
+    assert len(out) == len(G_stack)
+    for G, c, core in zip(G_stack, c_stack, out):
+        if core is not None:
+            _assert_same_core(core, _solve_inequality(G, g, c, None, 1e-9))
+    return out
+
+
+def test_batch_kernel_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(44)
+    n = 3
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    statuses = {Status.OPTIMAL: 0, Status.INFEASIBLE: 0}
+    for _ in range(20):
+        B = 12
+        # box rows, four random rows, then x_1 <= -1 and s x_1 <= -1,
+        # which is infeasible for s = -1
+        G_stack = np.zeros((B, 2 * n + 6, n))
+        G_stack[:, : 2 * n] = box
+        G_stack[:, 2 * n : 2 * n + 4] = rng.normal(size=(B, 4, n))
+        G_stack[:, -2, 0] = 1.0
+        G_stack[:, -1, 0] = rng.choice([-1.0, 1.0], B)
+        g = np.concatenate([rng.uniform(1, 3, 2 * n), rng.uniform(-1, 3, 4), [-1.0, -1.0]])
+        c_stack = rng.normal(size=(B, n))
+        # in LP 0 only a lower bound limits x_2, so it is unbounded
+        G_stack[0, :, 1] = 0.0
+        G_stack[0, n + 1, 1] = -1.0
+        c_stack[0, 1] = 1.0
+        G_stack[0, -1, 0] = 1.0
+        # in LP 1 column 2 repeats column 1, cost included: its dual has
+        # a redundant row, which leaves an artificial in the basis
+        G_stack[1, -1, 0] = 1.0
+        G_stack[1, :, 1] = G_stack[1, :, 0]
+        c_stack[1, 1] = c_stack[1, 0]
+        out = _batch_against_scalar(G_stack, g, c_stack)
+        assert out[0] is None
+        assert out[1] is None
+        # the box keeps the dual feasible, so the batch settles the rest
+        assert all(core is not None for core in out[2:])
+        for core, s in zip(out[2:], G_stack[2:, -1, 0]):
+            statuses[core.status] += 1
+            if s < 0:
+                assert core.status is Status.INFEASIBLE
+    assert statuses[Status.OPTIMAL] > 0 and statuses[Status.INFEASIBLE] > 0
+
+
+def test_batch_kernel_takes_the_bland_switch(monkeypatch):
+    # Chvatal's cycling example (Linear Programming, 1983) as the dual
+    # of max x_3 s.t. G x <= g: its phase two cycles with period 6
+    # under the largest-coefficient rule with lowest-label ties, so
+    # only the switch to Bland's rule after 3 * (3 + 7) degenerate
+    # pivots ends it
+    dual = np.array([
+        [0.5, -5.5, -2.5, 9.0, 1.0, 0.0, 0.0],
+        [0.5, -1.5, -0.5, 1.0, 0.0, 1.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    g = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+    c = np.array([0.0, 0.0, 1.0])
+    pivots = []
+    real_pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+    ref = _solve_inequality(dual.T.copy(), g, c, None, 1e-9)
+    assert len(pivots) > 3 * (3 + 7)
+    assert ref.status is Status.OPTIMAL and ref.value == pytest.approx(-1.0)
+    # stacked with copies whose first dual row is scaled
+    scale = np.array([1.0, 2.0, 0.5, 4.0])
+    G_stack = dual.T[None] * np.ones((4, 1, 1))
+    c_stack = np.tile(c, (4, 1))
+    G_stack[:, :, 0] *= scale[:, None]
+    out = _batch_against_scalar(G_stack, g, c_stack)
+    assert all(core is not None for core in out)
+    _assert_same_core(out[0], ref)

@@ -229,6 +229,16 @@ def test_undecodable_realization_file_exits_2(capsys, fixtures_dir, tmp_path):
     assert "input error" in err
 
 
+def test_out_of_range_tolerances_exit_2(capsys, fixtures_dir):
+    path = str(fixtures_dir / "example1.json")
+    for option in (["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0.5"],
+                   ["--max-iters", "0"]):
+        code, out, err = run(capsys, "range", path, *option)
+        assert code == 2, option
+        assert "input error" in err
+        assert out == ""
+
+
 def test_numerical_failures_exit_3(capsys, tmp_path):
     document = {
         "A": {"mid": [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], "rad": [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]]},

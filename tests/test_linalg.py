@@ -1,6 +1,10 @@
 """Factorizations, verified enclosures, and corner sweeps."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +211,14 @@ class TestHullVertices:
         for p in points:
             residual = np.abs(a.mid @ p - rhs) - a.rad @ np.abs(p)
             assert np.all(residual <= 1e-9)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg takes most of the package's import time and only
+    # LuFactorization needs it, so it is imported on first use
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, avlprange; print('scipy.linalg' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -218,3 +218,36 @@ def test_shape_validation():
         LpProblem(c=[1.0, 2.0], G=[[1.0]], g=[1.0])
     with pytest.raises(InputError):
         LpProblem(c=[np.nan], G=[[1.0]], g=[1.0])
+
+
+def test_agrees_with_highs():
+    # an independent solver on random LPs; plain random rows give
+    # unbounded and infeasible LPs, box rows bounded ones
+    rng = np.random.default_rng(45)
+    seen = {}
+    for trial in range(300):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 13))
+        G = rng.normal(size=(m, n))
+        g = rng.uniform(-1.0, 2.0, m)
+        if trial % 3 == 0 and m >= 2 * n:
+            G[: 2 * n] = np.vstack([np.eye(n), -np.eye(n)])
+            g[: 2 * n] = rng.uniform(0.5, 2.0, 2 * n)
+        c = rng.normal(size=n)
+        out = solve_lp(LpProblem(c=c, G=G, g=g))
+        ref = linprog(-c, A_ub=G, b_ub=g, bounds=[(None, None)] * n, method="highs")
+        expected = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}[ref.status]
+        assert out.status is expected, (trial, ref.message)
+        seen[out.status] = seen.get(out.status, 0) + 1
+        if out.status is Status.OPTIMAL:
+            assert abs(out.value + ref.fun) <= 1e-7 * (1.0 + abs(ref.fun))
+        elif out.status is Status.INFEASIBLE:
+            y = out.certificate
+            assert np.all(y >= 0.0)
+            assert np.allclose(G.T @ y, 0.0, atol=1e-9 * (1.0 + np.max(np.abs(y))))
+            assert g @ y < 0.0
+        else:
+            d = out.ray
+            assert np.all(G @ d <= 1e-9)
+            assert c @ d > 0.0
+    assert all(seen.get(status, 0) >= 20 for status in Status), seen
