@@ -30,7 +30,17 @@ scalar kernel would give.  An LP that needs one of the scalar kernel's
 rare branches (a drifted phase one, the feasibility probe, a redundant
 row, the iteration limit) is handed back and re-solved by
 ``simplex._solve_inequality``.  A single LP is always solved by the
-scalar kernel, which is faster for one.
+scalar kernel, which is faster for one.  The sweep keeps its outcomes
+as arrays and picks the winner from them; it builds one sign vector,
+for the winner, and per-orthant records only when asked.
+
+Unless records are asked for, the sweep also prunes.  In phase two each
+orthant LP's tableau is dual feasible, so its objective bounds that
+orthant's optimum from above.  Once the bound falls below the best
+optimum found so far (carried across chunks) by more than the tie
+window ``tol * (1 + |best|)``, the LP is dropped: that orthant can
+neither win nor tie, so the outcome stays the one the full sweep gives,
+bit for bit.
 
 The enumeration is exact but exponential, so problems are refused
 beyond a configurable cap (default 16) on the number of variables; the
@@ -44,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, SizeCapError
-from .intervals import DEFAULT_TOL, SignVector, sign_of
-from .simplex import Status, _solve_inequality, _solve_inequality_batch
+from .intervals import DEFAULT_TOL, SignVector, _check_tolerances, sign_of
+from .simplex import _HANDED_BACK, Status, _solve_inequality, _solve_inequality_batch
 
 DEFAULT_ORTHANT_CAP = 16
 
@@ -116,14 +126,17 @@ class OrthantRecord:
 class SolveOutcome:
     """Combined result over all enumerated orthants.
 
-    ``orthant`` is the sign vector of the winning restriction, ``ray``
-    an improving direction when unbounded (it stays inside the winning
-    orthant's cone), and ``records`` the per-orthant outcomes in
-    lexicographic order, one per orthant of the columns with a
-    nonconvex ``|x|`` term (a single record when there is none).  Every
-    sign vector has length ``n``: enumerated columns carry the
-    orthant's label, the other columns the sign of that restriction's
-    optimizer (of its ray when unbounded, plus when infeasible).
+    ``value`` is a Python float, ``orthant`` the sign vector of the
+    winning restriction, ``optimizer`` its point (a feasible point when
+    unbounded) and ``ray`` an improving direction when unbounded (it
+    stays inside the winning orthant's cone).  ``records`` is empty
+    unless ``solve_gen_avlp`` was called with ``records=True``; then it
+    holds the per-orthant outcomes in lexicographic order, one per
+    orthant of the columns with a nonconvex ``|x|`` term (a single
+    record when there is none).  Every sign vector has length ``n``:
+    enumerated columns carry the orthant's label, the other columns
+    the sign of that restriction's optimizer (of its ray when
+    unbounded, plus when infeasible).
     """
 
     status: Status
@@ -178,6 +191,7 @@ def solve_gen_avlp(
     tol: float = DEFAULT_TOL,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
     minimize: bool = False,
+    records: bool = False,
 ) -> SolveOutcome:
     """Solve a generalized program by orthant decomposition over the
     columns with a nonconvex ``|x|`` term.
@@ -185,13 +199,23 @@ def solve_gen_avlp(
     The orthant LPs are solved in lockstep chunks of at most
     ``_CHUNK_BYTES`` of tableau; those the batch hands back, and the
     single LP of a program with no enumerated column, go to the scalar
-    kernel.
+    kernel.  The winner is the first unbounded orthant, else the first
+    orthant with the largest value.
+
+    With ``records=False`` (the default) ``SolveOutcome.records`` is
+    empty, and the batch prunes in phase two every orthant LP whose
+    optimum provably lies below the best optimum found so far in the
+    sweep by more than ``tol * (1 + |best|)``: such an orthant can
+    neither win nor tie within that window, so the outcome is the one
+    the full sweep gives.  With ``records=True`` nothing is pruned and
+    every orthant's record is returned.
 
     With ``minimize=True`` the objective is minimized instead; the
     infeasible value is then ``+inf`` and the unbounded value ``-inf``.
     Raises ``SizeCapError`` when the variable count exceeds
-    ``orthant_cap``.
+    ``orthant_cap`` and ``InputError`` unless ``0 < tol <= 1e-3``.
     """
+    _check_tolerances(tol)
     n = program.n
     if n > orthant_cap:
         raise SizeCapError(
@@ -221,83 +245,89 @@ def solve_gen_avlp(
     rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
     cost = np.concatenate([p, q[conv]])
 
-    def orthant_outcomes():
-        """``(label of the enumerated columns, LP outcome)`` per orthant,
-        in lexicographic order."""
-        if k == 0:
-            yield np.zeros(0), _solve_inequality(lhs, rhs, cost, None, tol)
-            return
-        rows, cols = lhs.shape
-        chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
-        # enumerated column t takes bit k-1-t of the orthant's index, so
-        # index order is lexicographic sign order
-        shifts = np.arange(k - 1, -1, -1)
+    # per orthant, in lexicographic order: the LP value (+inf
+    # unbounded, -inf infeasible or pruned), the point (nan when there
+    # is none) and the ray when unbounded
+    values = np.full(2**k, np.nan)
+    points = np.full((2**k, n), np.nan)
+    rays: dict[int, np.ndarray] = {}
+
+    def scalar(i: int, G_i: np.ndarray, c_i: np.ndarray) -> None:
+        core = _solve_inequality(G_i, rhs, c_i, None, tol)
+        values[i] = core.value
+        if core.x is not None:
+            points[i] = core.x[:n]
+        if core.ray is not None:
+            rays[i] = core.ray[:n]
+
+    # enumerated column t takes bit k-1-t of the orthant's index, so
+    # index order is lexicographic sign order
+    shifts = np.arange(k - 1, -1, -1)
+    rows, cols = lhs.shape
+    chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
+    incumbent = None if records else -np.inf
+    if k == 0:
+        # a single LP, for which the scalar kernel is faster
+        scalar(0, lhs, cost)
+    else:
         for start in range(0, 2**k, chunk):
-            index = np.arange(start, min(start + chunk, 2**k))
-            signs = np.where((index[:, None] >> shifts) & 1, 1.0, -1.0)
-            lhs_stack = np.broadcast_to(lhs, (index.size, rows, cols)).copy()
+            stop = min(start + chunk, 2**k)
+            signs = np.where((np.arange(start, stop)[:, None] >> shifts) & 1, 1.0, -1.0)
+            lhs_stack = np.broadcast_to(lhs, (stop - start, rows, cols)).copy()
             lhs_stack[:, :m, enum] = G[:, enum] + H[:, enum] * signs[:, None, :]
             lhs_stack[:, m + np.arange(k), enum] = -signs
-            cost_stack = np.broadcast_to(cost, (index.size, cols)).copy()
+            cost_stack = np.broadcast_to(cost, (stop - start, cols)).copy()
             cost_stack[:, enum] = p[enum] + q[enum] * signs
-            cores = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol)
-            for s_arr, G_b, c_b, core in zip(signs, lhs_stack, cost_stack, cores):
-                if core is None:
-                    # a rare branch of the scalar kernel
-                    core = _solve_inequality(G_b, rhs, c_b, None, tol)
-                yield s_arr, core
+            batch = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
+            values[start:stop] = batch.value
+            points[start:stop] = batch.x[:, :n]
+            for i in np.flatnonzero(batch.code == _HANDED_BACK):
+                # a rare branch of the scalar kernel
+                scalar(start + i, lhs_stack[i], cost_stack[i])
+            if incumbent is not None:
+                done = values[start:stop]
+                incumbent = max(incumbent, done[np.isfinite(done)].max(initial=-np.inf))
 
-    records: list[OrthantRecord] = []
-    best_core = None
-    best_sign: SignVector | None = None
-    for s_arr, core in orthant_outcomes():
-        if core.x is not None:
-            core.x = core.x[:n]
-        if core.ray is not None:
-            core.ray = core.ray[:n]
+    def status(i: int) -> Status:
+        if np.isfinite(values[i]):
+            return Status.OPTIMAL
+        return Status.UNBOUNDED if values[i] > 0 else Status.INFEASIBLE
+
+    def orthant(i: int) -> SignVector:
         # unsplit columns take the sign of the point (of the ray when
-        # unbounded, plus when infeasible)
-        point = core.ray if core.ray is not None else core.x
-        label = np.ones(n) if point is None else np.where(point >= 0, 1.0, -1.0)
-        label[enum] = s_arr
-        s = SignVector(label)
-        records.append(
-            OrthantRecord(
-                orthant=s,
-                status=core.status,
-                value=flip * core.value,
-                optimizer=core.x if core.status is Status.OPTIMAL else None,
-            )
-        )
-        if core.status is Status.INFEASIBLE:
-            continue
-        if best_core is None:
-            best_core, best_sign = core, s
-        elif core.status is Status.UNBOUNDED and best_core.status is not Status.UNBOUNDED:
-            best_core, best_sign = core, s
-        elif (
-            core.status is Status.OPTIMAL
-            and best_core.status is Status.OPTIMAL
-            and core.value > best_core.value
-        ):
-            best_core, best_sign = core, s
+        # unbounded, plus when infeasible: its point is nan)
+        label = np.where(rays.get(i, points[i]) < 0, -1.0, 1.0)
+        label[enum] = np.where((i >> shifts) & 1, 1.0, -1.0)
+        return SignVector(label)
 
-    if best_core is None:
+    kept = ()
+    if records:
+        kept = tuple(
+            OrthantRecord(
+                orthant=orthant(i),
+                status=status(i),
+                value=float(flip * values[i]),
+                optimizer=points[i] if status(i) is Status.OPTIMAL else None,
+            )
+            for i in range(len(values))
+        )
+    best = int(np.argmax(values))
+    if values[best] == -np.inf:
         return SolveOutcome(
             status=Status.INFEASIBLE,
             value=-flip * np.inf,
             optimizer=None,
             orthant=None,
             ray=None,
-            records=tuple(records),
+            records=kept,
         )
     return SolveOutcome(
-        status=best_core.status,
-        value=flip * best_core.value,
-        optimizer=best_core.x,
-        orthant=best_sign,
-        ray=best_core.ray,
-        records=tuple(records),
+        status=status(best),
+        value=float(flip * values[best]),
+        optimizer=points[best],
+        orthant=orthant(best),
+        ray=rays.get(best),
+        records=kept,
     )
 
 

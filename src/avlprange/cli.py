@@ -31,6 +31,7 @@ from .intervals import (
     IntervalMatrix,
     IntervalVector,
     SignVector,
+    _check_tolerances,
     sign_of,
 )
 from .linalg import hull_vertices_orthant, solve_square
@@ -52,12 +53,6 @@ from .stability import (
     verify_b_stability,
     worst_case_bstable,
 )
-
-
-#: Largest accepted ``--tol``.  Larger values let the simplex's
-#: feasibility and optimality tests pass wrong answers: at 0.5 the
-#: worst-case bound of fixtures/example1.json is reported tight.
-_MAX_TOL = 1e-3
 
 
 class _UsageError(Exception):
@@ -452,10 +447,7 @@ _HANDLERS = {
 
 def run_command(args) -> dict:
     """Execute one parsed command and assemble its report."""
-    if not 0.0 < args.tol <= _MAX_TOL:  # also false for nan
-        raise InputError(f"--tol must be a finite number in (0, {_MAX_TOL:g}], got {args.tol}")
-    if args.max_iters < 1:
-        raise InputError(f"--max-iters must be at least 1, got {args.max_iters}")
+    _check_tolerances(args.tol, args.max_iters)
     path = Path(args.path)
     raw = path.read_bytes()
     problem = problem_from_dict(_decode_document(raw, path))

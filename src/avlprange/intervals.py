@@ -41,6 +41,11 @@ from .errors import DimensionError, InputError
 #: checks use this value unless a caller overrides it.
 DEFAULT_TOL = 1e-9
 
+#: Largest accepted ``tol``.  Larger values let the simplex's
+#: feasibility and optimality tests pass wrong answers: at 0.5 the
+#: worst-case bound of fixtures/example1.json is reported tight.
+_MAX_TOL = 1e-3
+
 #: A strict inequality backing a regularity claim must hold with at
 #: least this margin before the claim is reported as verified.
 REGULARITY_MARGIN = 1e-9
@@ -55,6 +60,20 @@ def _as_float_array(value, ndim: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{what} must contain only finite values")
     return arr
+
+
+def _check_tolerances(tol: float, max_iters: int = 1) -> None:
+    """Raise ``InputError`` unless ``0 < tol <= _MAX_TOL`` and
+    ``max_iters >= 1``.
+
+    Every public entry point that takes ``tol`` calls this first: a
+    nonpositive, huge or nan ``tol`` turns the solvers' tests into
+    wrong answers rather than errors.
+    """
+    if not 0.0 < tol <= _MAX_TOL:  # also false for nan
+        raise InputError(f"tol must be a finite number in (0, {_MAX_TOL:g}], got {tol}")
+    if max_iters < 1:
+        raise InputError(f"max_iters must be at least 1, got {max_iters}")
 
 
 def _check_bounds(inf: np.ndarray, sup: np.ndarray, what: str) -> None:

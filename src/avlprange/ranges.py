@@ -34,6 +34,7 @@ from .intervals import (
     SignVector,
     _array_fields_eq,
     _as_float_array,
+    _check_tolerances,
     _freeze,
     realize_rs,
     realize_s,
@@ -208,6 +209,7 @@ def best_case(
     ``problem.best_corner(s)`` at the optimal sign ``s`` attains that
     value.  No witness is returned when every realization is infeasible.
     """
+    _check_tolerances(tol)
     out = solve_gen_avlp(_best_program(problem), tol=tol, orthant_cap=orthant_cap)
     if out.status is Status.INFEASIBLE:
         return -np.inf, None
@@ -240,6 +242,7 @@ def worst_lower_bound(
     program is infeasible.  The bound can be strict (the worst case
     value may sit above it, and may not be attained at all).
     """
+    _check_tolerances(tol)
     out = solve_gen_avlp(_worst_lower_program(problem), tol=tol, orthant_cap=orthant_cap)
     return out.value
 
@@ -260,6 +263,7 @@ def lower_tightness(
     therefore the exact worst case.  The certificate is sufficient
     only: False does not refute tightness.
     """
+    _check_tolerances(tol)
     corner = problem.worst_corner(s_star)
     out = solve_gen_avlp(corner.program(), tol=tol, orthant_cap=orthant_cap)
     if out.status is not Status.OPTIMAL:
@@ -298,6 +302,7 @@ def worst_upper_bound(
     iterate contributes ``+inf`` and the iteration continues along its
     ray's sign.
     """
+    _check_tolerances(tol, max_iters)
     current = Realization(
         A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
     )
@@ -357,6 +362,7 @@ def full_range(
     analyses still run.  The mutual orderings of the produced values
     are checked before returning.
     """
+    _check_tolerances(tol, max_iters)
     errors: dict[str, str] = {}
 
     best = best_witness = None
@@ -369,7 +375,7 @@ def full_range(
     lower_tight = False
     try:
         lower_out = solve_gen_avlp(
-            _worst_lower_program(problem), tol=tol, orthant_cap=orthant_cap
+            _worst_lower_program(problem), tol=tol, orthant_cap=orthant_cap, records=True
         )
         worst_lower = lower_out.value
         if lower_out.status is Status.OPTIMAL:

@@ -22,18 +22,21 @@ certified ray ``d`` with ``G d <= 0`` (``= 0`` on equality rows) and
 LPs in lockstep with numpy, under the same rules applied per LP, so
 each outcome equals the scalar one bit for bit.  It settles the common
 cases (optimal, and infeasible with the certificate read from phase
-two) and hands the rare ones back to the scalar kernel.
+two), returns them as stacked arrays, and hands the rare ones back to
+the scalar kernel.  On request it prunes, in phase two, the LPs whose
+optimum provably falls below the best optimum found so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError, SingularMatrixError
-from .intervals import DEFAULT_TOL
+from .intervals import DEFAULT_TOL, _check_tolerances
 from .linalg import LuFactorization
 
 _PIVOT_FLOOR = 1e-10
@@ -339,15 +342,31 @@ def _solve_inequality(
 
 
 def _run_phase_batch(
-    T: np.ndarray, basis: np.ndarray, ncols: int, tol: float, limit: int, bland_after: int
+    T: np.ndarray,
+    basis: np.ndarray,
+    ncols: int,
+    tol: float,
+    limit: int,
+    bland_after: int,
+    incumbent: float | None = None,
 ) -> np.ndarray:
     """``run_phase`` of ``_solve_standard`` on a stack of tableaux.
 
     Every unfinished tableau is priced, ratio-tested and pivoted in one
     numpy step, and finished ones leave the working set.  Returns per
     tableau ``-1`` when it reached the phase's optimum, the entering
-    column when it found no pivot row, and ``-2`` on the iteration
-    limit.  ``T`` and ``basis`` are updated in place.
+    column when it found no pivot row, ``-2`` on the iteration limit
+    and ``-3`` when pruned.  ``T`` and ``basis`` are updated in place,
+    except for pruned tableaux, which are left mid-phase.
+
+    Pruning is for phase two only, and only when ``incumbent`` is given.
+    There every tableau is dual feasible, so its objective
+    ``-T[b, k, -1]`` bounds its LP's optimum from above, and it only
+    falls as pivots go on.  The incumbent starts at ``incumbent`` and
+    rises to each optimum the stack reaches; a live LP is dropped once
+    its bound is below the incumbent by more than
+    ``tol * (1 + |incumbent|)``, so it can neither beat nor tie an
+    optimum already found.
     """
     k = basis.shape[1]
     width = T.shape[2] - 1
@@ -369,12 +388,19 @@ def _run_phase_batch(
         ratio = np.divide(Tw[:, :k, -1], col, out=np.full(col.shape, np.inf), where=eligible)
         no_row = ~optimal & ~eligible.any(axis=1)
         finished = optimal | no_row
-        if finished.any():
+        dropped = finished
+        if incumbent is not None:
+            bound = -Tw[:, k, -1]
+            incumbent = max(incumbent, bound[optimal].max(initial=-np.inf))
+            pruned = ~finished & (bound < incumbent - tol * (1.0 + abs(incumbent)))
+            outcome[live[pruned]] = -3
+            dropped = finished | pruned
+        if dropped.any():
             outcome[live[optimal]] = -1
             outcome[live[no_row]] = j[no_row]
             T[live[finished]] = Tw[finished]
             basis[live[finished]] = bw[finished]
-            keep = ~finished
+            keep = ~dropped
             live, Tw, bw, degenerate = live[keep], Tw[keep], bw[keep], degenerate[keep]
             if not live.size:
                 return outcome
@@ -395,19 +421,53 @@ def _run_phase_batch(
     return outcome
 
 
+#: Outcome codes of ``_solve_inequality_batch``.
+_OPTIMAL, _INFEASIBLE, _PRUNED, _HANDED_BACK = range(4)
+
+
+class _BatchOutcome(NamedTuple):
+    """Stacked outcomes of ``_solve_inequality_batch``, one row per LP.
+
+    ``code`` is ``_OPTIMAL``, ``_INFEASIBLE``, ``_PRUNED`` or
+    ``_HANDED_BACK``.  ``value`` is ``c @ x`` when optimal, ``-inf``
+    when infeasible or pruned and nan when handed back.  ``x``, ``y``
+    (nan) and ``rows``, the sorted basis rows (``-1``), are set only
+    for optimal LPs, and ``certificate`` (nan) only for infeasible
+    ones.
+    """
+
+    code: np.ndarray
+    value: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    rows: np.ndarray
+    certificate: np.ndarray
+
+
 def _solve_inequality_batch(
-    G_stack: np.ndarray, g: np.ndarray, c_stack: np.ndarray, tol: float
-) -> list[_Core | None]:
+    G_stack: np.ndarray,
+    g: np.ndarray,
+    c_stack: np.ndarray,
+    tol: float,
+    incumbent: float | None = None,
+) -> _BatchOutcome:
     """``_solve_inequality(G_stack[b], g, c_stack[b], None, tol)`` for
     every ``b``, pivoted in lockstep.
 
     Each LP follows the same two phases, pivot rules, Bland switch and
-    iteration limit as ``_solve_standard``, per LP, so every returned
-    outcome equals the scalar one bit for bit.  The entry is None for
-    an LP that needs one of the scalar kernel's rare branches: phase
-    one without a pivot row (the drift repair), an infeasible phase one
-    (the feasibility probe), a residual basic artificial, or the
-    iteration limit.  Solve those with ``_solve_inequality``.
+    iteration limit as ``_solve_standard``, per LP, so every optimal or
+    infeasible outcome equals the scalar one bit for bit.  An LP that
+    needs one of the scalar kernel's rare branches is handed back
+    (``_HANDED_BACK``): phase one without a pivot row (the drift
+    repair), an infeasible phase one (the feasibility probe), a
+    residual basic artificial, or the iteration limit.  Solve those
+    with ``_solve_inequality``.
+
+    With ``incumbent`` given, phase two prunes every LP whose optimum
+    provably lies below the best of ``incumbent`` and the optima found
+    in this stack by more than ``tol * (1 + |best|)``
+    (``_PRUNED``); see ``_run_phase_batch``.  Pass ``-inf`` to
+    prune without a prior optimum.
     """
     B, m, n = G_stack.shape
     # the standard-form dual of each LP: n rows, m columns, rhs c_b
@@ -431,31 +491,49 @@ def _solve_inequality_batch(
     (go,) = np.nonzero(ok)
     T2 = T[go]
     basis2 = basis[go]
-    for i in range(len(go)):
-        costrow = np.zeros(width + 1)
-        costrow[:m] = g
-        costrow -= g[basis2[i]] @ T2[i, :n]
-        T2[i, n] = costrow
-    phase_two = _run_phase_batch(T2, basis2, m, tol, limit, bland_after)
+    # phase two's cost row, g minus the basic costs times the rows
+    costrow = np.zeros((len(go), width + 1))
+    costrow[:, :m] = g
+    costrow -= np.matmul(g[basis2][:, None, :], T2[:, :n])[:, 0]
+    T2[:, n] = costrow
+    phase_two = _run_phase_batch(T2, basis2, m, tol, limit, bland_after, incumbent)
 
-    x = sign[go] * -T2[:, n, m:width]
-    z = np.zeros((len(go), m))
-    np.put_along_axis(z, basis2, T2[:, :n, -1], axis=1)
+    out = _BatchOutcome(
+        code=np.full(B, _HANDED_BACK),
+        value=np.full(B, np.nan),
+        x=np.full((B, n), np.nan),
+        y=np.full((B, m), np.nan),
+        rows=np.full((B, n), -1),
+        certificate=np.full((B, m), np.nan),
+    )
+    opt = phase_two == -1
+    b = go[opt]
+    T_opt = T2[opt]
+    x = sign[b] * -T_opt[:, n, m:width]
+    z = np.zeros((len(b), m))
+    np.put_along_axis(z, basis2[opt], T_opt[:, :n, -1], axis=1)
     small = np.abs(z) < 1e2 * tol
     z[small] = np.maximum(z[small], 0.0)
-    rows = np.sort(basis2, axis=1).tolist()
-    out: list[_Core | None] = [None] * B
-    for i, b in enumerate(go):
-        j = int(phase_two[i])
-        if j == -1:
-            value = float(c_stack[b] @ x[i])
-            out[b] = _Core(Status.OPTIMAL, value, x=x[i], y=z[i], basis=tuple(rows[i]))
-        elif j >= 0:
-            # dual unbounded below: the primal is infeasible
-            ray = np.zeros(m)
-            ray[j] = 1.0
-            ray[basis2[i]] = -T2[i, :n, j]
-            out[b] = _Core(Status.INFEASIBLE, -np.inf, certificate=ray)
+    out.code[b] = _OPTIMAL
+    out.value[b] = np.matmul(c_stack[b][:, None, :], x[:, :, None])[:, 0, 0]
+    out.x[b] = x
+    out.y[b] = z
+    out.rows[b] = np.sort(basis2[opt], axis=1)
+
+    # dual unbounded below: the primal is infeasible
+    infeasible = phase_two >= 0
+    b = go[infeasible]
+    j = phase_two[infeasible]
+    ray = np.zeros((len(b), m))
+    np.put_along_axis(ray, basis2[infeasible], -T2[np.flatnonzero(infeasible), :n, j], axis=1)
+    ray[np.arange(len(b)), j] = 1.0
+    out.code[b] = _INFEASIBLE
+    out.value[b] = -np.inf
+    out.certificate[b] = ray
+
+    b = go[phase_two == -3]
+    out.code[b] = _PRUNED
+    out.value[b] = -np.inf
     return out
 
 
@@ -465,8 +543,10 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     Returns status, optimal value (``+-inf`` for unbounded/infeasible),
     primal and dual solutions, the optimal row basis when one exists,
     and a certificate (improving ray or Farkas multipliers) for the
-    degenerate statuses.
+    degenerate statuses.  Raises ``InputError`` unless
+    ``0 < tol <= 1e-3``.
     """
+    _check_tolerances(tol)
     core = _solve_inequality(problem.G, problem.g, problem.c, problem.equalities, tol)
     return LpOutcome(
         status=core.status,

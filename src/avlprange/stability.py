@@ -38,6 +38,7 @@ from .intervals import (
     IntervalVector,
     RegularityCheck,
     _as_float_array,
+    _check_tolerances,
     all_sign_vectors,
     beeck_regular,
     interval_matvec,
@@ -167,6 +168,7 @@ def verify_b_stability(
     ``verified`` when multipliers are only verifiably nonnegative, and
     ``unknown`` (with the failing check named) otherwise.
     """
+    _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
     star, rhs, cost = relaxed_interval_lp(problem)
     basic = star.take_rows(rows)
@@ -280,6 +282,7 @@ def best_case_bstable(
     inf(c)``.  Outside verified stability the value is meaningless, so
     a missing or inconclusive certificate draws a warning.
     """
+    _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
     _warn_unverified(
         certificate,
@@ -323,6 +326,7 @@ def solve_gave(
     regular; when it is not, a warning is issued and the first
     sign-consistent solution is returned anyway.
     """
+    _check_tolerances(tol)
     M, F, g = system.M, system.F, system.g
     n = g.shape[0]
 
@@ -388,6 +392,7 @@ def worst_case_bstable(
     realization attains it: it is ``problem.worst_corner(sign(x*))``
     with the nonbasic rows (free to be anything) reported at ``mid(A)``.
     """
+    _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
     _warn_unverified(
         certificate,
@@ -435,6 +440,7 @@ def bstable_characterizations(
     tol: float = DEFAULT_TOL,
 ) -> CharacterizationValues:
     """Solve all four basic-row programs and report their values."""
+    _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
     lhs = problem.A.mid[rows]
     relief = (problem.A.rad - problem.D.inf)[rows]

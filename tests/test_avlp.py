@@ -13,7 +13,7 @@ from avlprange import (
     min_form,
     solve_gen_avlp,
 )
-from avlprange import simplex
+from avlprange import avlp, simplex
 from avlprange.errors import DimensionError
 from avlprange.simplex import _solve_inequality, _solve_inequality_batch
 
@@ -50,7 +50,7 @@ def test_records_cover_all_orthants_in_order():
     # every orthant is solved
     box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     prog = _program([0.0, 0.0], [1.0, 1.0], box, np.zeros((4, 2)), [1.0, 1.0, 1.0, 1.0])
-    out = solve_gen_avlp(prog)
+    out = solve_gen_avlp(prog, records=True)
     assert [r.orthant for r in out.records] == all_sign_vectors(2)
     assert out.value == pytest.approx(2.0, abs=1e-12)
 
@@ -60,7 +60,7 @@ def test_no_column_to_enumerate_gives_one_record():
     box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     abs_lhs = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 0.0]]
     prog = _program([1.0, 1.0], [0.0, -0.5], box, abs_lhs, [1.0, 1.0, 2.0, 1.0])
-    out = solve_gen_avlp(prog)
+    out = solve_gen_avlp(prog, records=True)
     assert len(out.records) == 1
     assert out.status is Status.OPTIMAL
     # x_2 <= 2 - 0.5 x_2 gives x_2 = 4/3, worth 4/3 - 2/3
@@ -92,11 +92,26 @@ def test_unbounded_orthant_wins_over_optimal_one():
 
 def test_infeasible_only_when_every_orthant_is():
     prog = _program([0.0], [0.0], [[1.0], [-1.0]], [[0.0], [0.0]], [-1.0, -1.0])
-    out = solve_gen_avlp(prog)
+    out = solve_gen_avlp(prog, records=True)
     assert out.status is Status.INFEASIBLE
     assert out.value == -np.inf
     assert out.optimizer is None
     assert all(r.status is Status.INFEASIBLE for r in out.records)
+
+
+@pytest.mark.parametrize("records", [False, True])
+@pytest.mark.parametrize("minimize", [False, True])
+def test_values_are_python_floats(minimize, records):
+    box = ([[1.0], [-1.0]], [[0.0], [0.0]])
+    programs = [
+        _program([0.0], [1.0], *box, [1.0, 1.0]),  # two orthants
+        _program([1.0], [0.0], [[-1.0]], [[0.0]], [1.0]),  # unbounded one way
+        _program([0.0], [0.0], *box, [-1.0, -1.0]),  # infeasible
+    ]
+    for prog in programs:
+        out = solve_gen_avlp(prog, minimize=minimize, records=records)
+        assert type(out.value) is float
+        assert all(type(r.value) is float for r in out.records)
 
 
 def test_minimize_flag():
@@ -182,7 +197,7 @@ def test_optimizer_feasible_and_consistent_with_records():
             rng.uniform(-1, 1, (m, n)),
             rng.uniform(0.5, 4, m),
         )
-        out = solve_gen_avlp(prog)
+        out = solve_gen_avlp(prog, records=True)
         if out.status is not Status.OPTIMAL:
             continue
         x = out.optimizer
@@ -254,7 +269,9 @@ def test_mixed_columns_agree_with_oracle():
                 abs_cost[j] = convex_cost * rng.uniform(0, 1)
         lin_cost = rng.uniform(-2, 2, n)
         prog = _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
-        out = solve_gen_avlp(prog, minimize=minimize)
+        out = solve_gen_avlp(prog, minimize=minimize, records=True)
+        # the default sweep prunes, and must give the same outcome
+        _assert_same_outcome(solve_gen_avlp(prog, minimize=minimize), out)
 
         flip = -1.0 if minimize else 1.0
         status, value = avlp_oracle(flip * lin_cost, flip * abs_cost, lin_lhs, abs_lhs, rhs)
@@ -282,24 +299,66 @@ def test_mixed_columns_agree_with_oracle():
             )
 
 
-def _assert_same_core(got, ref):
+def test_pruning_keeps_the_first_of_tied_orthants_across_chunks(monkeypatch):
+    # max |x_1| + |x_2| + x_3 + |x_3| over the box |x| <= 1: the four
+    # orthants with x_3 >= 0 tie at exactly 4, the other four reach 2
+    box = np.vstack([np.eye(3), -np.eye(3)])
+    prog = _program([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], box, np.zeros((6, 3)), np.ones(6))
+    codes = []
+    real_batch = avlp._solve_inequality_batch
+
+    def batch(*args):
+        out = real_batch(*args)
+        codes.append(out.code)
+        return out
+
+    # two orthants per chunk: the tied orthants 1 and 3 of the eight
+    # land in different chunks
+    monkeypatch.setattr(avlp, "_CHUNK_BYTES", 2 * 8 * (3 + 1) * (9 + 3 + 1))
+    monkeypatch.setattr(avlp, "_solve_inequality_batch", batch)
+    out = solve_gen_avlp(prog)
+    assert out.records == ()
+    assert [len(c) for c in codes] == [2, 2, 2, 2]
+    assert simplex._PRUNED in np.concatenate(codes)
+    full = solve_gen_avlp(prog, records=True)
+    _assert_same_outcome(out, full)
+    assert out.value == 4.0
+    assert out.orthant.entries == (-1, -1, 1)
+    assert [r.value for r in full.records] == [2.0, 4.0] * 4
+
+
+def _assert_same_outcome(got, ref):
+    """Bit-identical sweep outcomes, records aside."""
     assert got.status is ref.status
-    assert got.value == ref.value
-    assert got.basis == ref.basis
-    for field in ("x", "y", "ray", "certificate"):
+    assert type(got.value) is float and got.value == ref.value
+    assert got.orthant == ref.orthant
+    for field in ("optimizer", "ray"):
         a, b = getattr(got, field), getattr(ref, field)
         assert (a is None) == (b is None)
         if a is not None:
             assert np.array_equal(a, b)
 
 
+def _assert_same_core(out, i, ref):
+    """LP ``i`` of a batch outcome equals the scalar kernel's ``ref``."""
+    code = {Status.OPTIMAL: simplex._OPTIMAL, Status.INFEASIBLE: simplex._INFEASIBLE}
+    assert out.code[i] == code[ref.status]
+    assert out.value[i] == ref.value
+    if ref.status is Status.OPTIMAL:
+        assert tuple(out.rows[i]) == ref.basis
+        assert np.array_equal(out.x[i], ref.x)
+        assert np.array_equal(out.y[i], ref.y)
+    else:
+        assert np.array_equal(out.certificate[i], ref.certificate)
+
+
 def _batch_against_scalar(G_stack, g, c_stack):
     """Batch outcomes, each checked bit for bit against the scalar kernel."""
     out = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
-    assert len(out) == len(G_stack)
-    for G, c, core in zip(G_stack, c_stack, out):
-        if core is not None:
-            _assert_same_core(core, _solve_inequality(G, g, c, None, 1e-9))
+    assert len(out.code) == len(G_stack)
+    for i, (G, c) in enumerate(zip(G_stack, c_stack)):
+        if out.code[i] != simplex._HANDED_BACK:
+            _assert_same_core(out, i, _solve_inequality(G, g, c, None, 1e-9))
     return out
 
 
@@ -307,7 +366,7 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
     rng = np.random.default_rng(44)
     n = 3
     box = np.vstack([np.eye(n), -np.eye(n)])
-    statuses = {Status.OPTIMAL: 0, Status.INFEASIBLE: 0}
+    statuses = {simplex._OPTIMAL: 0, simplex._INFEASIBLE: 0}
     for _ in range(20):
         B = 12
         # box rows, four random rows, then x_1 <= -1 and s x_1 <= -1,
@@ -330,15 +389,15 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
         G_stack[1, :, 1] = G_stack[1, :, 0]
         c_stack[1, 1] = c_stack[1, 0]
         out = _batch_against_scalar(G_stack, g, c_stack)
-        assert out[0] is None
-        assert out[1] is None
+        assert out.code[0] == simplex._HANDED_BACK
+        assert out.code[1] == simplex._HANDED_BACK
         # the box keeps the dual feasible, so the batch settles the rest
-        assert all(core is not None for core in out[2:])
-        for core, s in zip(out[2:], G_stack[2:, -1, 0]):
-            statuses[core.status] += 1
+        assert np.all(np.isin(out.code[2:], [simplex._OPTIMAL, simplex._INFEASIBLE]))
+        for code, s in zip(out.code[2:], G_stack[2:, -1, 0]):
+            statuses[code] += 1
             if s < 0:
-                assert core.status is Status.INFEASIBLE
-    assert statuses[Status.OPTIMAL] > 0 and statuses[Status.INFEASIBLE] > 0
+                assert code == simplex._INFEASIBLE
+    assert statuses[simplex._OPTIMAL] > 0 and statuses[simplex._INFEASIBLE] > 0
 
 
 def test_batch_kernel_takes_the_bland_switch(monkeypatch):
@@ -366,5 +425,5 @@ def test_batch_kernel_takes_the_bland_switch(monkeypatch):
     c_stack = np.tile(c, (4, 1))
     G_stack[:, :, 0] *= scale[:, None]
     out = _batch_against_scalar(G_stack, g, c_stack)
-    assert all(core is not None for core in out)
-    _assert_same_core(out[0], ref)
+    assert np.all(out.code != simplex._HANDED_BACK)
+    _assert_same_core(out, 0, ref)

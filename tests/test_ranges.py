@@ -5,19 +5,27 @@ import pytest
 
 from avlprange import (
     AvlpProblem,
+    GaveSystem,
     GenAvlpProgram,
     InputError,
     IntervalMatrix,
     IntervalVector,
+    LpProblem,
     SignVector,
     Status,
     all_sign_vectors,
     best_case,
+    best_case_bstable,
+    bstable_characterizations,
     full_range,
     lower_tightness,
     relaxed_interval_lp,
     sample_realization,
+    solve_gave,
     solve_gen_avlp,
+    solve_lp,
+    verify_b_stability,
+    worst_case_bstable,
     worst_lower_bound,
     worst_upper_bound,
 )
@@ -285,3 +293,45 @@ def test_widening_the_matrix_radius_is_monotone():
         )
         assert best_case(widened)[0] >= best_case(problem)[0] - 1e-9
         assert worst_lower_bound(widened) <= worst_lower_bound(problem) + 1e-9
+
+
+#: Every public entry point that takes ``tol``, as ``(name, call)``
+#: with ``call(problem, tol)``.
+_TOL_ENTRY_POINTS = [
+    ("solve_lp", lambda p, tol: solve_lp(LpProblem(c=[1.0], G=[[1.0]], g=[1.0]), tol=tol)),
+    ("solve_gen_avlp", lambda p, tol: solve_gen_avlp(p.best_corner(SignVector((1, 1))).program(),
+                                                     tol=tol)),
+    ("best_case", lambda p, tol: best_case(p, tol=tol)),
+    ("worst_lower_bound", lambda p, tol: worst_lower_bound(p, tol=tol)),
+    ("lower_tightness", lambda p, tol: lower_tightness(p, SignVector((1, 1)), tol=tol)),
+    ("worst_upper_bound", lambda p, tol: worst_upper_bound(p, tol=tol)),
+    ("full_range", lambda p, tol: full_range(p, tol=tol)),
+    ("verify_b_stability", lambda p, tol: verify_b_stability(p, (0, 1), tol=tol)),
+    ("best_case_bstable", lambda p, tol: best_case_bstable(p, (0, 1), tol=tol)),
+    ("worst_case_bstable", lambda p, tol: worst_case_bstable(p, (0, 1), tol=tol)),
+    ("bstable_characterizations", lambda p, tol: bstable_characterizations(p, (0, 1), tol=tol)),
+    ("solve_gave", lambda p, tol: solve_gave(GaveSystem(np.eye(2), np.zeros((2, 2)), np.ones(2)),
+                                             tol=tol)),
+]
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, 0.5])
+@pytest.mark.parametrize("name, call", _TOL_ENTRY_POINTS, ids=[n for n, _ in _TOL_ENTRY_POINTS])
+def test_entry_points_reject_out_of_range_tol(example1, name, call, tol):
+    # a tol outside (0, 1e-3] passes wrong answers (0.5 reports a loose
+    # bound of example1 tight) or fails every analysis (nan)
+    with pytest.raises(InputError, match="tol must be"):
+        call(example1, tol)
+
+
+@pytest.mark.parametrize("entry", [worst_upper_bound, full_range])
+def test_entry_points_reject_fewer_than_one_iteration(example1, entry):
+    with pytest.raises(InputError, match="max_iters must be"):
+        entry(example1, max_iters=0)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_lower_tightness_returns_a_bool(request, name):
+    problem = request.getfixturevalue(name)
+    for s in all_sign_vectors(problem.n):
+        assert type(lower_tightness(problem, s)) is bool
