@@ -229,21 +229,25 @@ def solve_gen_avlp(
     H = program.abs_lhs
     conv, enum = _column_kinds(H, q)
 
-    # variables (x, t) with one epigraph variable t_i >= |x_conv[i]|;
-    # rows: program rows, one sign row per enumerated column, then the
-    # two epigraph rows of each convex column
     m, k, c = program.m, enum.size, conv.size
-    lhs = np.zeros((m + k + 2 * c, n + c))
-    lhs[:m, :n] = G
-    lhs[:m, n:] = H[:, conv]
-    lower = m + k + 2 * np.arange(c)
-    t_cols = n + np.arange(c)
-    lhs[lower, conv] = 1.0
-    lhs[lower + 1, conv] = -1.0
-    lhs[lower, t_cols] = -1.0
-    lhs[lower + 1, t_cols] = -1.0
-    rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
-    cost = np.concatenate([p, q[conv]])
+    if k == c == 0:
+        # one LP on the program's own rows: nothing to lift
+        lhs, rhs, cost = G, program.rhs, p
+    else:
+        # variables (x, t) with one epigraph variable t_i >= |x_conv[i]|;
+        # rows: program rows, one sign row per enumerated column, then
+        # the two epigraph rows of each convex column
+        lhs = np.zeros((m + k + 2 * c, n + c))
+        lhs[:m, :n] = G
+        lhs[:m, n:] = H[:, conv]
+        lower = m + k + 2 * np.arange(c)
+        t_cols = n + np.arange(c)
+        lhs[lower, conv] = 1.0
+        lhs[lower + 1, conv] = -1.0
+        lhs[lower, t_cols] = -1.0
+        lhs[lower + 1, t_cols] = -1.0
+        rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
+        cost = np.concatenate([p, q[conv]])
 
     # per orthant, in lexicographic order: the LP value (+inf
     # unbounded, -inf infeasible or pruned), the point (nan when there
@@ -263,13 +267,13 @@ def solve_gen_avlp(
     # enumerated column t takes bit k-1-t of the orthant's index, so
     # index order is lexicographic sign order
     shifts = np.arange(k - 1, -1, -1)
-    rows, cols = lhs.shape
-    chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
-    incumbent = None if records else -np.inf
     if k == 0:
         # a single LP, for which the scalar kernel is faster
         scalar(0, lhs, cost)
     else:
+        rows, cols = lhs.shape
+        chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
+        incumbent = None if records else -np.inf
         for start in range(0, 2**k, chunk):
             stop = min(start + chunk, 2**k)
             signs = np.where((np.arange(start, stop)[:, None] >> shifts) & 1, 1.0, -1.0)
@@ -297,7 +301,8 @@ def solve_gen_avlp(
         # unsplit columns take the sign of the point (of the ray when
         # unbounded, plus when infeasible: its point is nan)
         label = np.where(rays.get(i, points[i]) < 0, -1.0, 1.0)
-        label[enum] = np.where((i >> shifts) & 1, 1.0, -1.0)
+        if k:
+            label[enum] = np.where((i >> shifts) & 1, 1.0, -1.0)
         return SignVector(label)
 
     kept = ()

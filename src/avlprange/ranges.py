@@ -11,6 +11,13 @@ program.  The lower endpoint (the worst case) is bracketed: a one-shot
 program gives a lower bound, a sign-consistency certificate can prove
 that bound exact, and an iterative sign-update scheme tightens an upper
 bound on the worst case from above.
+
+Both the certificate and the iteration solve worst-case corner
+realizations ``AvlpProblem.worst_corner(s)``, and they often meet the
+same sign ``s``.  ``full_range`` shares one memo of corner outcomes,
+keyed by ``s``, between them, so each distinct corner is solved once
+per analysis.  The certificate needs no further LP when the corner's
+own optimizer already lies in the closed orthant of ``s``.
 """
 
 from __future__ import annotations
@@ -247,11 +254,37 @@ def worst_lower_bound(
     return out.value
 
 
+def _solve_corner(
+    corner: Realization,
+    s: SignVector | None,
+    tol: float,
+    orthant_cap: int,
+    corners: dict[tuple[int, ...], SolveOutcome] | None,
+) -> SolveOutcome:
+    """Outcome of ``corner.program()``, where ``corner`` is
+    ``worst_corner(s)`` unless ``s`` is None.
+
+    With a memo ``corners`` each sign is solved once: the same corner
+    at the same ``tol`` and ``orthant_cap`` always gives the same
+    outcome.
+    """
+    if corners is None or s is None:
+        return solve_gen_avlp(corner.program(), tol=tol, orthant_cap=orthant_cap)
+    out = corners.get(s.entries)
+    if out is None:
+        out = corners[s.entries] = solve_gen_avlp(
+            corner.program(), tol=tol, orthant_cap=orthant_cap
+        )
+    return out
+
+
 def lower_tightness(
     problem: AvlpProblem,
     s_star: SignVector,
     tol: float = DEFAULT_TOL,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
+    *,
+    _corners: dict[tuple[int, ...], SolveOutcome] | None = None,
 ) -> bool:
     """Certify that the worst-case lower bound is exact.
 
@@ -262,15 +295,24 @@ def lower_tightness(
     it does, the realization's value equals the lower bound, which is
     therefore the exact worst case.  The certificate is sufficient
     only: False does not refute tightness.
+
+    When the corner's own optimizer ``x`` satisfies ``s* * x >= 0``
+    entrywise, ``x`` is such a point and the answer is True at once.
+    Otherwise one more LP, the corner restricted to the closed orthant
+    of ``s*``, decides: the certificate holds when its value ties the
+    corner's optimum within ``tol * (1 + |optimum|)``.
+    ``_corners`` is ``full_range``'s memo of corner outcomes.
     """
     _check_tolerances(tol)
     corner = problem.worst_corner(s_star)
-    out = solve_gen_avlp(corner.program(), tol=tol, orthant_cap=orthant_cap)
+    out = _solve_corner(corner, s_star, tol, orthant_cap, _corners)
     if out.status is not Status.OPTIMAL:
         return False
+    s_arr = s_star.as_array()
+    if np.all(s_arr * out.optimizer >= 0.0):
+        return True
     # value of the same realization restricted to the closed orthant of
     # s*; equality means some global optimizer lives there
-    s_arr = s_star.as_array()
     restricted = _solve_inequality(
         np.vstack([corner.A - corner.D * s_arr[None, :], -np.diag(s_arr)]),
         np.concatenate([corner.b, np.zeros(problem.n)]),
@@ -288,6 +330,8 @@ def worst_upper_bound(
     tol: float = DEFAULT_TOL,
     max_iters: int = 50,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
+    *,
+    _corners: dict[tuple[int, ...], SolveOutcome] | None = None,
 ) -> tuple[float, Realization | None, tuple[IterationStep, ...]]:
     """Upper bound on the worst case value by iterated sign updates.
 
@@ -300,19 +344,21 @@ def worst_upper_bound(
     or after ``max_iters`` steps.  An infeasible iterate proves the
     worst case is exactly ``-inf`` and stops immediately; an unbounded
     iterate contributes ``+inf`` and the iteration continues along its
-    ray's sign.
+    ray's sign.  ``_corners`` is ``full_range``'s memo of corner
+    outcomes.
     """
     _check_tolerances(tol, max_iters)
     current = Realization(
         A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
     )
+    s = None
     bound = np.inf
     witness: Realization | None = None
     log: list[IterationStep] = []
     visited: set[tuple[int, ...]] = set()
 
     for index in range(max_iters):
-        out = solve_gen_avlp(current.program(), tol=tol, orthant_cap=orthant_cap)
+        out = _solve_corner(current, s, tol, orthant_cap, _corners)
         if out.status is Status.INFEASIBLE:
             bound = -np.inf
             witness = current
@@ -358,12 +404,18 @@ def full_range(
 ) -> RangeReport:
     """Run all three analyses and aggregate them into a report.
 
-    Component failures are caught and recorded per field; the other
-    analyses still run.  The mutual orderings of the produced values
-    are checked before returning.
+    The tightness certificate and the upper iteration share one memo
+    of worst-corner outcomes, so each distinct corner is solved once;
+    the report equals the one the public analyses give when run one by
+    one.  Component failures are caught and recorded per field; the
+    other analyses still run.  The mutual orderings of the produced
+    values are checked before returning.
     """
     _check_tolerances(tol, max_iters)
     errors: dict[str, str] = {}
+    # worst-corner outcomes by sign, shared by the certificate and the
+    # upper iteration
+    corners: dict[tuple[int, ...], SolveOutcome] = {}
 
     best = best_witness = None
     try:
@@ -391,7 +443,9 @@ def full_range(
                 if s.entries in seen:
                     continue
                 seen.add(s.entries)
-                if lower_tightness(problem, s, tol=tol, orthant_cap=orthant_cap):
+                if lower_tightness(
+                    problem, s, tol=tol, orthant_cap=orthant_cap, _corners=corners
+                ):
                     lower_tight = True
                     break
     except AvlpRangeError as exc:
@@ -401,7 +455,7 @@ def full_range(
     upper_log: tuple[IterationStep, ...] = ()
     try:
         worst_upper, upper_witness, upper_log = worst_upper_bound(
-            problem, tol=tol, max_iters=max_iters, orthant_cap=orthant_cap
+            problem, tol=tol, max_iters=max_iters, orthant_cap=orthant_cap, _corners=corners
         )
         hit_infeasible = any(step.status is Status.INFEASIBLE for step in upper_log)
         if hit_infeasible and worst_lower == -np.inf:

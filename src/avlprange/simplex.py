@@ -147,7 +147,7 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
     T[rows_idx, ncols_orig + rows_idx] = 1.0
     T[:k, -1] = b1
     basis = list(range(ncols_orig, width))
-    active = np.ones(k, dtype=bool)
+    active = [True] * k
 
     limit = 50 * (k + ncols_orig) + 20
     bland_after = 3 * (k + ncols_orig)
@@ -167,8 +167,10 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
                 j = int(np.argmax(rc < -tol))  # Bland: first eligible
                 if rc[j] >= -tol:
                     return None
-            col = T[:k, j]
-            rhs_col = T[:k, -1]
+            # the ratio test on Python floats: a tableau has few rows,
+            # and per-element numpy indexing costs more than the loop
+            col = T[:k, j].tolist()
+            rhs_col = T[:k, -1].tolist()
             theta = None
             for i in range(k):
                 if active[i] and col[i] > _PIVOT_FLOOR:
@@ -568,8 +570,9 @@ def check_basis_optimal(G, g, c, basis, tol: float = DEFAULT_TOL) -> BasisOptima
     multipliers ``G[B]^-T c`` are nonnegative; it is reported
     nondegenerate when the multipliers are strictly positive beyond the
     tolerance.  Raises ``SingularMatrixError`` when ``G[B]`` cannot be
-    factored.
+    factored and ``InputError`` unless ``0 < tol <= 1e-3``.
     """
+    _check_tolerances(tol)
     G = np.asarray(G, dtype=float)
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float)

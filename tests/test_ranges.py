@@ -17,10 +17,12 @@ from avlprange import (
     best_case,
     best_case_bstable,
     bstable_characterizations,
+    check_basis_optimal,
     full_range,
     lower_tightness,
     relaxed_interval_lp,
     sample_realization,
+    sign_of,
     solve_gave,
     solve_gen_avlp,
     solve_lp,
@@ -30,6 +32,7 @@ from avlprange import (
     worst_upper_bound,
 )
 
+from avlprange import ranges
 from oracles import random_box_bounded_problem
 
 
@@ -312,6 +315,8 @@ _TOL_ENTRY_POINTS = [
     ("bstable_characterizations", lambda p, tol: bstable_characterizations(p, (0, 1), tol=tol)),
     ("solve_gave", lambda p, tol: solve_gave(GaveSystem(np.eye(2), np.zeros((2, 2)), np.ones(2)),
                                              tol=tol)),
+    ("check_basis_optimal", lambda p, tol: check_basis_optimal(np.eye(2), np.ones(2), np.ones(2),
+                                                               (0, 1), tol=tol)),
 ]
 
 
@@ -335,3 +340,170 @@ def test_lower_tightness_returns_a_bool(request, name):
     problem = request.getfixturevalue(name)
     for s in all_sign_vectors(problem.n):
         assert type(lower_tightness(problem, s)) is bool
+
+
+def _zero_entry_problem():
+    """Rows pin x2 to zero, so every worst corner's optimizer has an
+    exact zero entry."""
+    return AvlpProblem(
+        A=IntervalMatrix.from_midrad(
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+            [[0.1, 0.0], [0.1, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        ),
+        b=IntervalVector.from_midrad([1.0, 1.0, 0.0, 0.0], [0.1, 0.1, 0.0, 0.0]),
+        c=IntervalVector.from_midrad([1.0, 0.5], [0.1, 0.1]),
+        D=IntervalMatrix(np.zeros((4, 2)), np.full((4, 2), 0.05)),
+    )
+
+
+#: Problems on which ``full_range`` is checked against its parts: the
+#: fixtures, a corner optimizer with a zero entry, and seeded random
+#: box-bounded instances.  Among the random ones, the upper iteration
+#: of random-14 and random-35 revisits the negation of a sign the
+#: certificate solved, so a memo looked up under the wrong sign shows.
+_RANGE_CASES = ["example1", "example2", "example3", "example4", "zero-entry"] + [
+    f"random-{i}" for i in range(40)
+]
+
+
+def _range_problem(request, name):
+    if name.startswith("example"):
+        return request.getfixturevalue(name)
+    if name == "zero-entry":
+        return _zero_entry_problem()
+    return random_box_bounded_problem(np.random.default_rng([62, int(name.split("-")[1])]))
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+def _realization_bits(realization):
+    if realization is None:
+        return None
+    return tuple(_bits(getattr(realization, name)) for name in "AbcD")
+
+
+def _step_bits(step):
+    return (step.index, step.status, _bits(step.value), _bits(step.bound), step.sign,
+            _bits(step.ray))
+
+
+def _restricted_lp(problem, s):
+    """The corner at ``s`` restricted to the closed orthant of ``s``."""
+    corner = problem.worst_corner(s)
+    s_arr = s.as_array()
+    return solve_lp(LpProblem(
+        c=corner.c,
+        G=np.vstack([corner.A - corner.D * s_arr[None, :], -np.diag(s_arr)]),
+        g=np.concatenate([corner.b, np.zeros(problem.n)]),
+    ))
+
+
+@pytest.mark.parametrize("name", _RANGE_CASES)
+def test_full_range_equals_its_public_parts_bit_for_bit(request, name):
+    problem = _range_problem(request, name)
+    report = full_range(problem)
+
+    best, best_witness = best_case(problem)
+    assert _bits(report.best) == _bits(best)
+    assert _realization_bits(report.best_witness) == _realization_bits(best_witness)
+    worst_lower = worst_lower_bound(problem)
+    assert _bits(report.worst_lower) == _bits(worst_lower)
+    upper, upper_witness, upper_log = worst_upper_bound(problem)
+    assert _bits(report.worst_upper) == _bits(upper)
+    assert _realization_bits(report.upper_witness) == _realization_bits(upper_witness)
+    assert [_step_bits(step) for step in report.upper_log] == [
+        _step_bits(step) for step in upper_log
+    ]
+
+    # the certificate holds when it holds at any sign tied for the
+    # lower-bound program's optimum, or when an infeasible iterate pins
+    # the worst case at -inf
+    lower = solve_gen_avlp(
+        GenAvlpProgram(
+            linear_cost=problem.c.mid,
+            abs_cost=-problem.c.rad,
+            linear_lhs=problem.A.mid,
+            abs_lhs=problem.A.rad - problem.D.inf,
+            rhs=problem.b.inf,
+        ),
+        records=True,
+    )
+    tied = set()
+    if lower.status is Status.OPTIMAL:
+        window = report.tol * (1.0 + abs(lower.value))
+        tied = {
+            sign_of(record.optimizer)
+            for record in lower.records
+            if record.status is Status.OPTIMAL and record.value >= lower.value - window
+        }
+    pinned = worst_lower == -np.inf and any(
+        step.status is Status.INFEASIBLE for step in upper_log
+    )
+    expected = pinned or any(lower_tightness(problem, s) for s in tied)
+    assert report.lower_tight is expected
+
+
+@pytest.mark.parametrize("name", _RANGE_CASES)
+def test_full_range_solves_each_program_once(request, name, monkeypatch):
+    problem = _range_problem(request, name)
+    programs, restricted, certificates = [], [], []
+    real_solve = ranges.solve_gen_avlp
+    real_restricted = ranges._solve_inequality
+    real_tightness = ranges.lower_tightness
+
+    def solve(program, **kwargs):
+        programs.append(tuple(
+            _bits(getattr(program, field))
+            for field in ("linear_cost", "abs_cost", "linear_lhs", "abs_lhs", "rhs")
+        ))
+        return real_solve(program, **kwargs)
+
+    def restricted_lp(*args):
+        restricted.append(args)
+        return real_restricted(*args)
+
+    def tightness(problem, s, *args, **kwargs):
+        before = len(restricted)
+        verdict = real_tightness(problem, s, *args, **kwargs)
+        certificates.append((s, len(restricted) - before, verdict))
+        return verdict
+
+    monkeypatch.setattr(ranges, "solve_gen_avlp", solve)
+    monkeypatch.setattr(ranges, "_solve_inequality", restricted_lp)
+    monkeypatch.setattr(ranges, "lower_tightness", tightness)
+    report = full_range(problem)
+    monkeypatch.undo()
+
+    assert len(set(programs)) == len(programs)
+    assert sum(ran for _, ran, _ in certificates) == len(restricted)
+    for s, ran, verdict in certificates:
+        out = problem.worst_corner(s).solve(tol=report.tol)
+        if out.status is not Status.OPTIMAL:
+            assert (ran, verdict) == (0, False)
+            continue
+        if not np.all(s.as_array() * out.optimizer >= 0.0):
+            assert ran == 1
+            continue
+        # the corner's optimizer lies in the closed orthant of s, so the
+        # restricted LP was skipped; solved anyway, it ties the corner
+        assert (ran, verdict) == (0, True)
+        direct = _restricted_lp(problem, s)
+        assert direct.status is Status.OPTIMAL
+        assert abs(direct.value - out.value) <= report.tol * (1.0 + abs(out.value))
+
+
+def test_corner_optimizer_with_a_zero_entry_certifies_without_an_lp(monkeypatch):
+    problem = _zero_entry_problem()
+    s = SignVector((1, 1))
+    out = problem.worst_corner(s).solve()
+    assert out.status is Status.OPTIMAL
+    assert out.optimizer[1] == 0.0
+    monkeypatch.setattr(ranges, "_solve_inequality", pytest.fail)
+    assert lower_tightness(problem, s) is True
+    assert full_range(problem).lower_tight is True
+    monkeypatch.undo()
+    direct = _restricted_lp(problem, s)
+    assert direct.status is Status.OPTIMAL
+    assert direct.value == pytest.approx(out.value, rel=1e-9, abs=1e-9)
