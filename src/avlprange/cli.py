@@ -47,6 +47,7 @@ from .ranges import (
 from .simplex import Status
 from .stability import (
     Basis,
+    CertificateStatus,
     StabilityCertificate,
     _basis_rows,
     best_case_bstable,
@@ -233,6 +234,24 @@ def _require_basis(args, problem: AvlpProblem) -> Basis:
     return basis
 
 
+def _verified_certificate(
+    problem: AvlpProblem, args, accepted: tuple[CertificateStatus, ...], what: str
+) -> tuple[Basis, StabilityCertificate]:
+    """Basis and certificate for a ``--bstable`` value; a certificate
+    outside ``accepted`` is a numerical failure, because the value would
+    be meaningless."""
+    basis = _require_basis(args, problem)
+    cert = verify_b_stability(problem, basis, tol=args.tol)
+    if cert.status not in accepted:
+        needed = " or ".join(status.value for status in accepted)
+        raise NumericalError(
+            f"stability certificate is {cert.status.value}"
+            + (f" ({cert.reason})" if cert.reason else "")
+            + f"; the basis-stable {what} needs {needed}"
+        )
+    return basis, cert
+
+
 def _pick_realization(problem: AvlpProblem, args) -> tuple[Realization, str]:
     if args.realization and args.corner:
         raise InputError("--realization and --corner are mutually exclusive")
@@ -307,8 +326,12 @@ def _cmd_solve(problem: AvlpProblem, args) -> dict:
 
 def _cmd_best(problem: AvlpProblem, args) -> dict:
     if args.bstable:
-        basis = _require_basis(args, problem)
-        cert = verify_b_stability(problem, basis, tol=args.tol)
+        basis, cert = _verified_certificate(
+            problem,
+            args,
+            (CertificateStatus.VERIFIED, CertificateStatus.VERIFIED_NONDEGENERATE),
+            "best case",
+        )
         value = best_case_bstable(problem, basis, tol=args.tol, certificate=cert)
         return {
             "values": {"best": _ext(value)},
@@ -323,8 +346,9 @@ def _cmd_best(problem: AvlpProblem, args) -> dict:
 
 def _cmd_worst(problem: AvlpProblem, args) -> dict:
     if args.bstable:
-        basis = _require_basis(args, problem)
-        cert = verify_b_stability(problem, basis, tol=args.tol)
+        basis, cert = _verified_certificate(
+            problem, args, (CertificateStatus.VERIFIED_NONDEGENERATE,), "worst case"
+        )
         value, x_star, witness = worst_case_bstable(
             problem, basis, cap=args.orthant_cap, tol=args.tol, certificate=cert
         )

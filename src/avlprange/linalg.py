@@ -21,7 +21,6 @@ what the 2**n corner sweep visits.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +54,22 @@ RESIDUAL_RTOL = 1e-8
 DEDUP_TOL = 1e-7
 
 
+def _lapack():
+    # deferred: scipy.linalg takes most of the package's import time
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 @dataclass(frozen=True)
 class LuFactorization:
     """LU factors of a square matrix with partial pivoting.
 
-    Wraps the packed LAPACK representation; ``solve`` and
-    ``solve_transpose`` reuse the factorization for repeated right
-    sides.
+    Wraps the packed LAPACK representation of ``dgetrf``; ``solve``
+    and ``solve_transpose`` reuse it through ``dgetrs`` for repeated
+    right sides.  Both are called directly, which gives the factors
+    and solutions of ``scipy.linalg.lu_factor``/``lu_solve`` without
+    their per-call checks.
     """
 
     lu: np.ndarray
@@ -75,16 +83,11 @@ class LuFactorization:
             raise DimensionError(f"LU factorization needs a square matrix, got {matrix.shape}")
         if not np.all(np.isfinite(matrix)):
             raise SingularMatrixError("matrix contains non-finite entries")
-        norm = float(np.max(np.sum(np.abs(matrix), axis=1))) if matrix.size else 0.0
-        import scipy.linalg  # deferred: it takes most of the package's import time
-
-        try:
-            with warnings.catch_warnings():
-                # exact zero pivots are diagnosed below with a typed error
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-        except (ValueError, scipy.linalg.LinAlgError) as exc:
-            raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+        if matrix.size == 0:
+            raise DimensionError("LU factorization needs a nonempty matrix")
+        norm = float(np.max(np.sum(np.abs(matrix), axis=1)))
+        # an exact zero pivot (positive info) fails the pivot floor below
+        lu, piv, _ = _lapack().dgetrf(matrix)
         pivot_floor = PIVOT_RTOL * max(norm, 1.0)
         if np.min(np.abs(np.diag(lu))) < pivot_floor:
             raise SingularMatrixError(
@@ -97,16 +100,14 @@ class LuFactorization:
         return self.lu.shape[0]
 
     def solve(self, rhs) -> np.ndarray:
-        import scipy.linalg
-
-        rhs = np.asarray(rhs, dtype=float)
-        return scipy.linalg.lu_solve((self.lu, self.piv), rhs, check_finite=False)
+        return self._solve(rhs, 0)
 
     def solve_transpose(self, rhs) -> np.ndarray:
-        import scipy.linalg
+        return self._solve(rhs, 1)
 
-        rhs = np.asarray(rhs, dtype=float)
-        return scipy.linalg.lu_solve((self.lu, self.piv), rhs, trans=1, check_finite=False)
+    def _solve(self, rhs, trans: int) -> np.ndarray:
+        x, _ = _lapack().dgetrs(self.lu, self.piv, np.asarray(rhs, dtype=float), trans=trans)
+        return x
 
 
 def solve_square(matrix, rhs) -> np.ndarray:
@@ -131,15 +132,6 @@ def solve_square(matrix, rhs) -> np.ndarray:
             f"square solve residual {residual:.3e} exceeds contract for scale {scale:.3e}"
         )
     return x
-
-
-def _interval_div(al, au, bl, bu):
-    # requires 0 outside [bl, bu]
-    q1 = al / bl
-    q2 = al / bu
-    q3 = au / bl
-    q4 = au / bu
-    return (min(q1, q2, q3, q4), max(q1, q2, q3, q4))
 
 
 def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
@@ -172,15 +164,16 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
         return None
     alpha = np.maximum(diag_lo - 1.0 / d, 0.0)
     beta = np.maximum(u / d - mag_b, 0.0)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        den_lo = a_lo[i, i] - alpha[i]
-        den_hi = a_hi[i, i] + alpha[i]
-        if den_lo <= 0.0:
-            return None
-        lo[i], hi[i] = _interval_div(b_lo[i] - beta[i], b_hi[i] + beta[i], den_lo, den_hi)
-    return lo, hi
+    den_lo = diag_lo - alpha
+    if np.min(den_lo) <= 0.0:
+        return None
+    den_hi = np.diag(a_hi) + alpha
+    # interval quotient [num_lo, num_hi] / [den_lo, den_hi], the
+    # denominator positive
+    num_lo = b_lo - beta
+    num_hi = b_hi + beta
+    quotients = np.stack([num_lo / den_lo, num_lo / den_hi, num_hi / den_lo, num_hi / den_hi])
+    return quotients.min(axis=0), quotients.max(axis=0)
 
 
 def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector:

@@ -561,6 +561,32 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     )
 
 
+class _BasisSolution(NamedTuple):
+    """Basic solution of ``max c @ x, G x <= g`` at one row basis, read
+    from a single factorization of ``G[B]``."""
+
+    x: np.ndarray
+    y: np.ndarray
+    primal_ok: bool
+    dual_ok: bool
+
+
+def _basis_solution(G: np.ndarray, g: np.ndarray, c: np.ndarray, idx: np.ndarray,
+                    tol: float) -> _BasisSolution:
+    """Point ``x = G[B]^-1 g[B]``, multipliers ``y = G[B]^-T c``, and
+    whether ``x`` satisfies the nonbasic rows and ``y >= 0``, both to
+    ``tol``.  Raises ``SingularMatrixError`` when ``G[B]`` cannot be
+    factored."""
+    fact = LuFactorization.factor(G[idx])
+    x = fact.solve(g[idx])
+    y = fact.solve_transpose(c)
+    mask = np.ones(G.shape[0], dtype=bool)
+    mask[idx] = False
+    primal_ok = bool(np.all(G[mask] @ x <= g[mask] + tol))
+    dual_ok = bool(np.all(y >= -tol))
+    return _BasisSolution(x, y, primal_ok, dual_ok)
+
+
 def check_basis_optimal(G, g, c, basis, tol: float = DEFAULT_TOL) -> BasisOptimality:
     """Classify a row index set as an optimal basis of
     ``max c @ x, G x <= g``.
@@ -582,16 +608,9 @@ def check_basis_optimal(G, g, c, basis, tol: float = DEFAULT_TOL) -> BasisOptima
         raise InputError(f"basis must name {n} distinct rows, got {rows}")
     if any(i < 0 or i >= m for i in rows):
         raise InputError(f"basis rows out of range for {m} rows: {rows}")
-    idx = np.array(rows, dtype=int)
-    fact = LuFactorization.factor(G[idx])
-    x = fact.solve(g[idx])
-    y = fact.solve_transpose(c)
-    mask = np.ones(m, dtype=bool)
-    mask[idx] = False
-    primal_ok = bool(np.all(G[mask] @ x <= g[mask] + tol))
-    dual_ok = bool(np.all(y >= -tol))
-    if primal_ok and dual_ok:
-        if np.all(y > tol):
+    sol = _basis_solution(G, g, c, np.array(rows, dtype=int), tol)
+    if sol.primal_ok and sol.dual_ok:
+        if np.all(sol.y > tol):
             return BasisOptimality.OPTIMAL_NONDEGENERATE
         return BasisOptimality.OPTIMAL
     return BasisOptimality.NOT_OPTIMAL

@@ -14,6 +14,15 @@ Under a verified certificate the range endpoints collapse to single
 solves: the best case is one ordinary LP in the multipliers, and the
 worst case is the objective at the unique solution of the square
 absolute-value system built from the basic rows.
+
+When the certificate's primal enclosure excludes zero, its sign ``S``
+is the sign of the solution of every member system of the basic
+block.  That pins both solves to one square factorization each: the
+best-case LP's optimal basis is read off ``S`` and checked a
+posteriori, and the absolute-value system becomes the linear one at
+sign ``S``, checked for sign consistency and residual.  Without such
+a certificate, or when a check fails, the general LP and sign
+iteration run instead.
 """
 
 from __future__ import annotations
@@ -47,9 +56,16 @@ from .intervals import (
 )
 from .linalg import enclose_interval_solution, solve_square
 from .ranges import AvlpProblem, Realization, relaxed_interval_lp
-from .simplex import LpProblem, Status, solve_lp
+from .simplex import LpProblem, Status, _basis_solution, solve_lp
 
 NONDEGENERACY_MARGIN = 1e-7
+
+
+def _integer_rows(entries) -> tuple[int, ...]:
+    rows = tuple(entries)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in rows):
+        raise InputError(f"basis rows must be integers, got {rows}")
+    return tuple(int(i) for i in rows)
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,7 @@ class Basis:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(i) for i in self.rows)
+        rows = _integer_rows(self.rows)
         if len(set(rows)) != len(rows):
             raise InputError(f"basis rows must be distinct, got {rows}")
         if any(i < 0 for i in rows):
@@ -72,7 +88,7 @@ class Basis:
 
     @classmethod
     def from_one_based(cls, labels) -> "Basis":
-        return cls(tuple(int(i) - 1 for i in labels))
+        return cls(tuple(i - 1 for i in _integer_rows(labels)))
 
     def __iter__(self):
         return iter(self.rows)
@@ -268,6 +284,19 @@ def _warn_unverified(
         )
 
 
+def _enclosure_signs(
+    certificate: StabilityCertificate | None, n: int
+) -> np.ndarray | None:
+    """Sign (+1.0 or -1.0 per entry) shared by every point of the
+    certificate's primal enclosure, or None when there is no enclosure
+    of length ``n`` or it touches zero."""
+    box = None if certificate is None else certificate.primal_enclosure
+    if box is None or len(box) != n:
+        return None
+    signs = np.where(box.inf > 0.0, 1.0, np.where(box.sup < 0.0, -1.0, 0.0))
+    return signs if np.all(signs != 0.0) else None
+
+
 def best_case_bstable(
     problem: AvlpProblem,
     basis,
@@ -281,6 +310,19 @@ def best_case_bstable(
     conditions ``inf(A*)_B.T y <= sup(c)`` and ``sup(A*)_B.T y >=
     inf(c)``.  Outside verified stability the value is meaningless, so
     a missing or inconclusive certificate draws a warning.
+
+    When the certificate's primal enclosure has one sign ``S``, the
+    LP's optimal basis is known: row ``j`` of the first block where
+    ``S_j = +1`` and of the second where ``S_j = -1``.  Its basic
+    solution ``y`` solves a member system of the dual block, so it lies
+    in the (nonnegative) dual enclosure, and its multipliers are
+    ``S * x`` for the solution ``x`` of a member system of the basic
+    block, which lies in the primal enclosure.  One factorization
+    gives ``y``, the multipliers and an a-posteriori check of both
+    feasibilities; the value is the LP's dual objective at that basis,
+    which equals ``sup(b)_B @ y`` there.  When the check fails (a
+    certificate for another basis, say), or the enclosure touches zero,
+    or there is no certificate, the LP is solved by the simplex method.
     """
     _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
@@ -293,20 +335,35 @@ def best_case_bstable(
     )
     star, rhs, cost = relaxed_interval_lp(problem)
     n = problem.n
-    low = star.inf[rows]
-    high = star.sup[rows]
-    lp = LpProblem(
-        c=rhs.sup[rows],
-        G=np.vstack([low.T, -high.T, -np.eye(n)]),
-        g=np.concatenate([cost.sup, -cost.inf, np.zeros(n)]),
-    )
-    out = solve_lp(lp, tol=tol)
+    c = rhs.sup[rows]
+    G = np.vstack([star.inf[rows].T, -star.sup[rows].T, -np.eye(n)])
+    g = np.concatenate([cost.sup, -cost.inf, np.zeros(n)])
+    signs = _enclosure_signs(certificate, n)
+    if signs is not None:
+        pinned = np.where(signs > 0.0, np.arange(n), n + np.arange(n))
+        try:
+            sol = _basis_solution(G, g, c, pinned, tol)
+        except SingularMatrixError:
+            sol = None
+        if sol is not None and sol.primal_ok and sol.dual_ok:
+            # equals c @ sol.x at an optimal basis; this side of the
+            # duality cancels less
+            return float(sol.y @ g[pinned])
+    out = solve_lp(LpProblem(c=c, G=G, g=g), tol=tol)
     if out.status is not Status.OPTIMAL:
         raise NumericalError(
             f"best-case program is {out.status.value}; this contradicts basis "
             f"stability of the supplied basis"
         )
     return out.value
+
+
+def _solves(system: GaveSystem, x: np.ndarray) -> bool:
+    """Whether the true residual of ``x`` is below ``1e-8 * (1 +
+    max|g|)``, the contract of ``solve_gave``."""
+    M, F, g = system.M, system.F, system.g
+    residual = float(np.max(np.abs(M @ x + F @ np.abs(x) - g), initial=0.0))
+    return residual <= 1e-8 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
 
 
 def solve_gave(
@@ -338,11 +395,6 @@ def solve_gave(
             stacklevel=2,
         )
 
-    residual_cap = 1e-8 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
-
-    def residual(x: np.ndarray) -> float:
-        return float(np.max(np.abs(M @ x + F @ np.abs(x) - g), initial=0.0))
-
     try:
         s = sign_of(solve_square(M, g))
     except (SingularMatrixError, NumericalError):
@@ -355,7 +407,7 @@ def solve_gave(
             x = solve_square(M + F * s.as_array()[None, :], g)
         except (SingularMatrixError, NumericalError):
             break
-        if residual(x) <= residual_cap:
+        if _solves(system, x):
             return x
         s = sign_of(x)
 
@@ -369,7 +421,7 @@ def solve_gave(
             x = solve_square(M + F * s.as_array()[None, :], g)
         except (SingularMatrixError, NumericalError):
             continue
-        if residual(x) <= residual_cap:
+        if _solves(system, x):
             return x
     raise NumericalError(
         "no sign-consistent solution of the absolute value system was found; "
@@ -391,6 +443,14 @@ def worst_case_bstable(
     the value is ``mid(c) @ x* - rad(c) @ |x*|``.  The returned witness
     realization attains it: it is ``problem.worst_corner(sign(x*))``
     with the nonbasic rows (free to be anything) reported at ``mid(A)``.
+
+    The envelope ``[M - |F|, M + |F|]`` of that system lies inside the
+    widened basic block, so a certificate's primal enclosure proves it
+    regular (``x*`` is unique) and contains ``x*``.  When the enclosure
+    has one sign ``S``, ``x*`` is the solution of the linear system at
+    ``S``: one square solve, accepted when ``S * x >= 0`` and the
+    residual meets the contract of ``solve_gave``.  Otherwise, or when
+    that check fails, ``solve_gave`` runs.
     """
     _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
@@ -405,7 +465,17 @@ def worst_case_bstable(
         F=(problem.A.rad - problem.D.inf)[rows],
         g=problem.b.inf[rows],
     )
-    x_star = solve_gave(system, cap=cap, tol=tol)
+    x_star = None
+    signs = _enclosure_signs(certificate, problem.n)
+    if signs is not None:
+        try:
+            x = solve_square(system.M + system.F * signs[None, :], system.g)
+        except (SingularMatrixError, NumericalError):
+            x = None
+        if x is not None and np.all(signs * x >= 0.0) and _solves(system, x):
+            x_star = x
+    if x_star is None:
+        x_star = solve_gave(system, cap=cap, tol=tol)
     value = float(problem.c.mid @ x_star - problem.c.rad @ np.abs(x_star))
 
     corner = problem.worst_corner(sign_of(x_star))

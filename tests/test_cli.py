@@ -129,6 +129,36 @@ def test_best_and_worst_bstable(capsys, fixtures_dir):
     )
 
 
+def test_bstable_values_need_a_sufficient_certificate(capsys, fixtures_dir, tmp_path):
+    # basis 1,3 of example 4 is not stable: a value would be wrong
+    path = str(fixtures_dir / "example4.json")
+    for command in ("best", "worst"):
+        code, out, err = run(capsys, command, path, "--bstable", "--basis", "1,3")
+        assert code == 3
+        assert out == ""
+        assert "certificate is unknown" in err
+        assert "nonbasic row 2 not verifiably satisfied" in err
+
+    # a multiplier of 1e-8 is verified nonnegative but not
+    # nondegenerate: enough for the best case, not for the worst
+    document = {
+        "A": {"mid": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "rad": [[0.0, 0.0]] * 3},
+        "b": {"mid": [1.0, 1.0, 3.0], "rad": [0.0, 0.0, 0.0]},
+        "c": {"mid": [1.0, 1e-8], "rad": [0.0, 0.0]},
+        "D": {"mid": [[0.0, 0.0]] * 3, "rad": [[0.0, 0.0]] * 3},
+    }
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps(document), encoding="utf-8")
+    code, report, _ = run_json(capsys, "best", str(degenerate), "--bstable", "--basis", "1,2")
+    assert code == 0
+    assert report["certificates"]["stability"]["status"] == "verified"
+    assert report["values"]["best"] == pytest.approx(1.0 + 1e-8, abs=1e-12)
+    code, out, err = run(capsys, "worst", str(degenerate), "--bstable", "--basis", "1,2")
+    assert code == 3
+    assert out == ""
+    assert "certificate is verified;" in err and "needs verified_nondegenerate" in err
+
+
 def test_stability_command(capsys, fixtures_dir):
     code, report, _ = run_json(
         capsys, "stability", str(fixtures_dir / "example4.json"), "--basis", "1,2"

@@ -48,6 +48,36 @@ class TestLu:
         eye = LuFactorization.factor(a).solve(np.eye(2))
         assert np.allclose(a @ eye, np.eye(2), atol=1e-12)
 
+    def test_bit_identical_to_scipy_lu(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(23)
+        for n in range(1, 21):
+            for _ in range(5):
+                a = rng.normal(size=(n, n)) + n * np.eye(n) * rng.uniform(0.0, 1.0)
+                rhs = rng.normal(size=n)
+                block = rng.normal(size=(n, 3))
+                fact = LuFactorization.factor(a)
+                lu, piv = scipy.linalg.lu_factor(a)
+                assert fact.lu.tobytes() == lu.tobytes()
+                assert np.array_equal(fact.piv, piv)
+                for trans, solve in ((0, fact.solve), (1, fact.solve_transpose)):
+                    for b in (rhs, block):
+                        want = scipy.linalg.lu_solve((lu, piv), b, trans=trans)
+                        got = solve(b)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+
+    def test_exactly_singular_matrix_raises(self):
+        with pytest.raises(SingularMatrixError):
+            LuFactorization.factor(np.zeros((3, 3)))
+        with pytest.raises(SingularMatrixError):
+            LuFactorization.factor([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(DimensionError):
+            LuFactorization.factor(np.zeros((0, 0)))
+
 
 class TestSolveSquare:
     def test_known_corner_system(self):

@@ -2,10 +2,12 @@
 absolute-value systems."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from avlprange import stability
 from avlprange import (
     AvlpProblem,
     Basis,
@@ -48,6 +50,26 @@ class TestBasis:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             Basis((-1, 0))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [(0.9, 1.7), (0.0, 1.0), np.array([True, False]), (True, 2), ("0", 1)],
+    )
+    def test_non_integer_entries_rejected(self, rows):
+        with pytest.raises(InputError, match="integers"):
+            Basis(rows)
+
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(InputError, match="integers"):
+            Basis.from_one_based((1.5, 2))
+
+    def test_numpy_integers_accepted(self):
+        assert Basis(np.array([0, 2])).rows == (0, 2)
+        assert Basis.from_one_based(np.array([1, 3], dtype=np.int32)).rows == (0, 2)
+
+    def test_verify_rejects_fractional_rows(self, example4):
+        with pytest.raises(InputError):
+            verify_b_stability(example4, (0.9, 1.2))
 
 
 class TestCertificate:
@@ -130,6 +152,136 @@ class TestStableValues:
             assert ch.min_at_least <= ch.min_at_equality + 1e-9
             assert ch.max_at_most >= ch.max_at_equality - 1e-9
             assert ch.min_at_equality <= ch.max_at_equality + 1e-9
+
+
+def flip_columns(problem: AvlpProblem, signs) -> AvlpProblem:
+    """Same program in the variables ``signs * x``: every optimizer,
+    and every enclosure, changes sign where ``signs`` is -1."""
+    signs = np.asarray(signs, dtype=float)
+    return AvlpProblem(
+        A=IntervalMatrix.from_midrad(problem.A.mid * signs, problem.A.rad),
+        b=problem.b,
+        c=IntervalVector.from_midrad(problem.c.mid * signs, problem.c.rad),
+        D=problem.D,
+    )
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Counts of the general solvers that the pinned paths replace."""
+    calls = {"solve_lp": 0, "solve_gave": 0}
+    for name in calls:
+        original = getattr(stability, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counted)
+    return calls
+
+
+def _stable_instances():
+    """Example 4 and seeded random stable problems with mixed optimizer
+    signs, each with its verified nondegenerate certificate."""
+    rng = np.random.default_rng(74)
+    out = []
+    while len(out) < 12:
+        problem, rows = random_stable_problem(rng)
+        signs = rng.choice([-1.0, 1.0], problem.n)
+        problem = flip_columns(problem, signs)
+        cert = verify_b_stability(problem, Basis(rows))
+        if cert.status is CertificateStatus.VERIFIED_NONDEGENERATE:
+            out.append((problem, rows, cert))
+    return out
+
+
+def _fallback_answers(problem, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        best = best_case_bstable(problem, Basis(rows))
+        worst = worst_case_bstable(problem, Basis(rows))
+    return best, worst
+
+
+class TestPinnedEndpoints:
+    def test_pinned_answers_equal_the_general_solvers(self, example4, fallback_calls):
+        instances = _stable_instances()
+        instances.append((example4, (0, 1), verify_b_stability(example4, Basis((0, 1)))))
+        mixed = 0
+        for problem, rows, cert in instances:
+            box = cert.primal_enclosure
+            mixed += bool(np.any(box.sup < 0.0)) and bool(np.any(box.inf > 0.0))
+            best = best_case_bstable(problem, Basis(rows), certificate=cert)
+            value, x_star, witness = worst_case_bstable(problem, Basis(rows), certificate=cert)
+            assert fallback_calls == {"solve_lp": 0, "solve_gave": 0}
+
+            ref_best, (ref_value, ref_x, ref_witness) = _fallback_answers(problem, rows)
+            assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
+            fallback_calls.update(solve_lp=0, solve_gave=0)
+            assert best == pytest.approx(ref_best, rel=1e-12, abs=0.0)
+            assert x_star.tobytes() == ref_x.tobytes()
+            assert value == ref_value
+            assert witness == ref_witness
+        assert mixed >= 4
+
+    def test_zero_straddling_enclosure_falls_back(self, fallback_calls):
+        for problem, rows, cert in _stable_instances()[:4]:
+            box = cert.primal_enclosure
+            low = box.inf.copy()
+            low[0] = -abs(box.sup[0])
+            straddling = replace(cert, primal_enclosure=IntervalVector(low, box.sup))
+            best = best_case_bstable(problem, Basis(rows), certificate=straddling)
+            value, x_star, _ = worst_case_bstable(problem, Basis(rows), certificate=straddling)
+            assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
+            ref_best, (ref_value, ref_x, _) = _fallback_answers(problem, rows)
+            fallback_calls.update(solve_lp=0, solve_gave=0)
+            assert best == ref_best
+            assert value == ref_value
+            assert x_star.tobytes() == ref_x.tobytes()
+
+    def test_example4_basis_with_a_straddling_enclosure_falls_back(self, example4, fallback_calls):
+        cert = verify_b_stability(example4, Basis((0, 2)))
+        assert np.any((cert.primal_enclosure.inf < 0.0) & (cert.primal_enclosure.sup > 0.0))
+        with pytest.warns(UserWarning, match="certificate status is 'unknown'"):
+            best = best_case_bstable(example4, Basis((0, 2)), certificate=cert)
+        assert fallback_calls["solve_lp"] == 1
+        assert best == _fallback_answers(example4, (0, 2))[0]
+
+    def test_certificate_of_another_basis_fails_the_check(self, example4, fallback_calls):
+        # the enclosure of basis (2, 3) is negative, the solutions of
+        # basis (0, 1) are positive: the pinned basis is not optimal
+        other = verify_b_stability(example4, Basis((2, 3)))
+        assert np.all(other.primal_enclosure.sup < 0.0)
+        with pytest.warns(UserWarning):
+            best = best_case_bstable(example4, Basis((0, 1)), certificate=other)
+            value, x_star, _ = worst_case_bstable(example4, Basis((0, 1)), certificate=other)
+        assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
+        ref_best, (ref_value, ref_x, _) = _fallback_answers(example4, (0, 1))
+        assert best == ref_best
+        assert value == ref_value == pytest.approx(WORST_EX4, abs=1e-9)
+        assert x_star.tobytes() == ref_x.tobytes()
+
+    def test_another_basis_on_random_instances(self, fallback_calls):
+        checked = 0
+        for problem, rows, cert in _stable_instances():
+            foreign = verify_b_stability(problem, Basis(tuple(range(1, problem.n + 1))))
+            box = foreign.primal_enclosure
+            if box is None or np.any((box.inf <= 0.0) & (box.sup >= 0.0)):
+                continue
+            if np.array_equal(np.sign(box.inf), np.sign(cert.primal_enclosure.inf)):
+                continue
+            with pytest.warns(UserWarning):
+                best = best_case_bstable(problem, Basis(rows), certificate=foreign)
+                value, x_star, _ = worst_case_bstable(problem, Basis(rows), certificate=foreign)
+            assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
+            ref_best, (ref_value, ref_x, _) = _fallback_answers(problem, rows)
+            fallback_calls.update(solve_lp=0, solve_gave=0)
+            assert best == ref_best
+            assert value == ref_value
+            assert x_star.tobytes() == ref_x.tobytes()
+            checked += 1
+        assert checked >= 2
 
 
 class TestGave:
