@@ -5,7 +5,12 @@ inclusive at both ends.  Storage is the endpoint pair; midpoint and
 radius are computed on demand.  Degenerate intervals (``inf == sup``)
 are ordinary real data and everything here treats them as such.
 ``IntervalVector`` and ``IntervalMatrix`` share their validation,
-constructors and views through one base class.
+constructors and views through one base class.  Endpoints are checked
+once, when an object is built from outside data: the slices ``take``,
+``take_rows`` and ``transpose`` inherit finiteness and ``inf <= sup``
+from their parent and check only their shape.  An ``IntervalMatrix``
+computes its midpoint inverse at most once, and ``beeck_regular`` and
+``linalg.enclose_interval_solution`` share it.
 
 Two member selectors pick structured points of an interval quantity:
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -51,14 +57,22 @@ _MAX_TOL = 1e-3
 REGULARITY_MARGIN = 1e-9
 
 
-def _as_float_array(value, ndim: int, what: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+def _check_shape(arr: np.ndarray, ndim: int, what: str) -> None:
     if arr.ndim != ndim:
         raise DimensionError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise InputError(f"{what} must be nonempty")
-    if not np.all(np.isfinite(arr)):
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
         raise InputError(f"{what} must contain only finite values")
+
+
+def _as_float_array(value, ndim: int, what: str) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    _check_shape(arr, ndim, what)
+    _check_finite(arr, what)
     return arr
 
 
@@ -82,7 +96,7 @@ def _check_bounds(inf: np.ndarray, sup: np.ndarray, what: str) -> None:
             f"{what}: inf shape {inf.shape} does not match sup shape {sup.shape}"
         )
     bad = inf > sup
-    if np.any(bad):
+    if bad.any():
         where = tuple(int(i) + 1 for i in np.argwhere(bad)[0])
         raise InputError(f"{what}: inf exceeds sup at entry {where}")
 
@@ -125,14 +139,34 @@ class _IntervalArray:
         object.__setattr__(self, "sup", _freeze(sup))
 
     @classmethod
+    def _inherit(cls, inf: np.ndarray, sup: np.ndarray):
+        """Interval array on endpoints already known to be finite with
+        ``inf <= sup``: a slice of a validated array, or the endpoints
+        ``from_midrad`` has checked.
+
+        Only the shape of ``inf`` is checked; ``sup`` has the same
+        shape by construction.
+        """
+        _check_shape(inf, cls._ndim, f"{cls._what} inf")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "inf", _freeze(inf))
+        object.__setattr__(obj, "sup", _freeze(sup))
+        return obj
+
+    @classmethod
     def from_midrad(cls, mid, rad):
         mid = _as_float_array(mid, cls._ndim, f"{cls._what} mid")
         rad = _as_float_array(rad, cls._ndim, f"{cls._what} rad")
         if mid.shape != rad.shape:
             raise DimensionError("mid and rad shapes differ")
-        if np.any(rad < 0):
+        if (rad < 0).any():
             raise InputError("interval radius must be nonnegative")
-        return cls(mid - rad, mid + rad)
+        # rounding is monotone, so mid - rad <= mid + rad once rad >= 0;
+        # only overflow can make an endpoint invalid
+        inf, sup = mid - rad, mid + rad
+        _check_finite(inf, f"{cls._what} inf")
+        _check_finite(sup, f"{cls._what} sup")
+        return cls._inherit(inf, sup)
 
     @classmethod
     def from_point(cls, values):
@@ -177,7 +211,7 @@ class IntervalVector(_IntervalArray):
 
     def take(self, indices) -> "IntervalVector":
         idx = np.asarray(indices, dtype=int)
-        return IntervalVector(self.inf[idx], self.sup[idx])
+        return IntervalVector._inherit(self.inf[idx], self.sup[idx])
 
 
 class IntervalMatrix(_IntervalArray):
@@ -188,14 +222,24 @@ class IntervalMatrix(_IntervalArray):
 
     def take_rows(self, indices) -> "IntervalMatrix":
         idx = np.asarray(indices, dtype=int)
-        return IntervalMatrix(self.inf[idx, :], self.sup[idx, :])
+        return IntervalMatrix._inherit(self.inf[idx, :], self.sup[idx, :])
 
     def transpose(self) -> "IntervalMatrix":
-        return IntervalMatrix(self.inf.T, self.sup.T)
+        return IntervalMatrix._inherit(self.inf.T, self.sup.T)
 
     @property
     def T(self) -> "IntervalMatrix":
         return self.transpose()
+
+    @cached_property
+    def _mid_inverse(self) -> np.ndarray | None:
+        """Inverse of the midpoint, or None when ``numpy.linalg.inv``
+        finds it singular; computed once per object and shared by
+        ``beeck_regular`` and ``linalg.enclose_interval_solution``."""
+        try:
+            return np.linalg.inv(self.mid)
+        except np.linalg.LinAlgError:
+            return None
 
 
 @dataclass(frozen=True, order=True)
@@ -260,7 +304,7 @@ def _coerce_selector(value, length: int, what: str) -> np.ndarray:
         arr = _as_float_array(value, 1, what)
     if arr.shape[0] != length:
         raise DimensionError(f"{what} must have length {length}, got {arr.shape[0]}")
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    if (np.abs(arr) > 1.0 + 1e-12).any():
         raise InputError(f"{what} entries must lie in [-1, 1]")
     return arr
 
@@ -317,12 +361,11 @@ def beeck_regular(matrix: IntervalMatrix) -> RegularityCheck:
     margin.  Returns unknown when the midpoint cannot be inverted.
     """
     _require_square(matrix)
-    try:
-        inv_mid = np.linalg.inv(matrix.mid)
-    except np.linalg.LinAlgError:
+    inv_mid = matrix._mid_inverse
+    if inv_mid is None:
         return RegularityCheck("beeck", False, np.inf, "midpoint-singular")
     iteration = np.abs(inv_mid) @ matrix.rad
-    rho = float(np.max(np.abs(np.linalg.eigvals(iteration)))) if iteration.size else 0.0
+    rho = float(np.abs(np.linalg.eigvals(iteration)).max()) if iteration.size else 0.0
     if not np.isfinite(rho):
         return RegularityCheck("beeck", False, np.inf, "spectral-radius-overflow")
     return RegularityCheck("beeck", rho <= 1.0 - REGULARITY_MARGIN, rho)

@@ -11,6 +11,9 @@ Hansen-Bliek-Rohn bound is valid and sharp for the preconditioned
 system, so no separate regularity test runs first.  When the gate
 fails, or the bound cannot be formed in floating point, the routine
 raises ``UnknownRegularityError`` and never returns an unverified box.
+``R`` is computed once per ``IntervalMatrix`` object and shared with
+``intervals.beeck_regular``, so a Beeck test followed by an enclosure
+of the same matrix inverts its midpoint once.
 
 ``hull_vertices_orthant`` enumerates the corner solutions of a regular
 interval system restricted to one orthant.  Inside a fixed orthant the
@@ -81,15 +84,15 @@ class LuFactorization:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionError(f"LU factorization needs a square matrix, got {matrix.shape}")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise SingularMatrixError("matrix contains non-finite entries")
         if matrix.size == 0:
             raise DimensionError("LU factorization needs a nonempty matrix")
-        norm = float(np.max(np.sum(np.abs(matrix), axis=1)))
+        norm = float(np.abs(matrix).sum(axis=1).max())
         # an exact zero pivot (positive info) fails the pivot floor below
         lu, piv, _ = _lapack().dgetrf(matrix)
         pivot_floor = PIVOT_RTOL * max(norm, 1.0)
-        if np.min(np.abs(np.diag(lu))) < pivot_floor:
+        if np.abs(lu.diagonal()).min() < pivot_floor:
             raise SingularMatrixError(
                 f"pivot below {pivot_floor:.3e}; matrix is singular to working precision"
             )
@@ -123,10 +126,10 @@ def solve_square(matrix, rhs) -> np.ndarray:
     if rhs.shape[0] != fact.n:
         raise DimensionError(f"right side has length {rhs.shape[0]}, expected {fact.n}")
     x = fact.solve(rhs)
-    scale = fact.norm * float(np.max(np.abs(x), initial=0.0)) + float(
-        np.max(np.abs(rhs), initial=0.0)
+    scale = fact.norm * float(np.abs(x).max(initial=0.0)) + float(
+        np.abs(rhs).max(initial=0.0)
     )
-    residual = float(np.max(np.abs(matrix @ x - rhs), initial=0.0))
+    residual = float(np.abs(matrix @ x - rhs).max(initial=0.0))
     if residual > RESIDUAL_RTOL * max(scale, 1.0):
         raise NumericalError(
             f"square solve residual {residual:.3e} exceeds contract for scale {scale:.3e}"
@@ -147,7 +150,7 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
     """
     n = a_lo.shape[0]
     diag_lo = np.diag(a_lo)
-    if np.min(diag_lo) <= 0.0:
+    if diag_lo.min() <= 0.0:
         return None
     comp = -np.maximum(np.abs(a_lo), np.abs(a_hi))
     np.fill_diagonal(comp, diag_lo)
@@ -155,17 +158,17 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
         inv_comp = LuFactorization.factor(comp).solve(np.eye(n))
     except (SingularMatrixError, NumericalError):
         return None
-    if np.min(inv_comp) < -1e-12:
+    if inv_comp.min() < -1e-12:
         return None
     mag_b = np.maximum(np.abs(b_lo), np.abs(b_hi))
     u = inv_comp @ mag_b
     d = np.diag(inv_comp)
-    if np.min(d) <= 0.0:
+    if d.min() <= 0.0:
         return None
     alpha = np.maximum(diag_lo - 1.0 / d, 0.0)
     beta = np.maximum(u / d - mag_b, 0.0)
     den_lo = diag_lo - alpha
-    if np.min(den_lo) <= 0.0:
+    if den_lo.min() <= 0.0:
         return None
     den_hi = np.diag(a_hi) + alpha
     # interval quotient [num_lo, num_hi] / [den_lo, den_hi], the
@@ -184,7 +187,9 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
     ``M`` regular and makes the preconditioned matrix ``R M`` an
     H-matrix, which is exactly what the Hansen-Bliek-Rohn bound
     assumes; the box returned is that bound for the preconditioned
-    system ``R M x = R b``.  A singular midpoint, a non-finite
+    system ``R M x = R b``.  ``R`` is the matrix's shared midpoint
+    inverse, which a ``beeck_regular`` call on the same object may
+    already have computed.  A singular midpoint, a non-finite
     statistic, a failed gate, or a bound that cannot be formed in
     floating point raise ``UnknownRegularityError``.
     """
@@ -194,20 +199,20 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
     if len(rhs) != n:
         raise DimensionError(f"right side has length {len(rhs)}, expected {n}")
 
-    try:
-        inv_mid = np.linalg.inv(matrix.mid)
-    except np.linalg.LinAlgError as exc:
-        raise UnknownRegularityError("unknown-regularity: midpoint is singular") from exc
+    inv_mid = matrix._mid_inverse
+    if inv_mid is None:
+        raise UnknownRegularityError("unknown-regularity: midpoint is singular")
+    abs_inv = np.abs(inv_mid)
     pre_mid = inv_mid @ matrix.mid
-    pre_rad = np.abs(inv_mid) @ matrix.rad
+    pre_rad = abs_inv @ matrix.rad
     rhs_mid = inv_mid @ rhs.mid
-    rhs_rad = np.abs(inv_mid) @ rhs.rad
+    rhs_rad = abs_inv @ rhs.rad
 
     # distance of the preconditioned family from the identity
     gap = np.abs(np.eye(n) - pre_mid) + pre_rad
-    if not np.all(np.isfinite(gap)):
+    if not np.isfinite(gap).all():
         raise UnknownRegularityError("unknown-regularity: contraction statistic is not finite")
-    rho = float(np.max(np.abs(np.linalg.eigvals(gap))))
+    rho = float(np.abs(np.linalg.eigvals(gap)).max())
     if rho > 1.0 - REGULARITY_MARGIN:
         raise UnknownRegularityError(
             f"unknown-regularity: preconditioned system does not contract "

@@ -113,12 +113,19 @@ class AvlpProblem:
         Matrix ``mid(A) + rad(A) diag(s)``, cost ``mid(c) - diag(s)
         rad(c)``, and the stingy bounds ``inf(b)``, ``inf(D)``.
         """
+        return Realization(*self._worst_corner_arrays(s))
+
+    def _worst_corner_arrays(
+        self, s: SignVector
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``A``, ``b``, ``c``, ``D`` of ``worst_corner(s)``, for a
+        caller that edits them before building one ``Realization``."""
         flipped = s.negate()
-        return Realization(
-            A=realize_rs(self.A, np.ones(self.m), flipped),
-            b=self.b.inf,
-            c=realize_s(self.c, flipped),
-            D=self.D.inf,
+        return (
+            realize_rs(self.A, np.ones(self.m), flipped),
+            self.b.inf,
+            realize_s(self.c, flipped),
+            self.D.inf,
         )
 
 
@@ -345,11 +352,16 @@ def worst_upper_bound(
     worst case is exactly ``-inf`` and stops immediately; an unbounded
     iterate contributes ``+inf`` and the iteration continues along its
     ray's sign.  ``_corners`` is ``full_range``'s memo of corner
-    outcomes.
+    outcomes.  On point data in ``A`` and ``c`` every worst corner is
+    bitwise the midpoint start, so the start and the corners share
+    the memo's outcomes.
     """
     _check_tolerances(tol, max_iters)
     current = Realization(
         A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
+    )
+    point = _corners is not None and all(
+        x.inf.tobytes() == x.sup.tobytes() == x.mid.tobytes() for x in (problem.A, problem.c)
     )
     s = None
     bound = np.inf
@@ -358,7 +370,10 @@ def worst_upper_bound(
     visited: set[tuple[int, ...]] = set()
 
     for index in range(max_iters):
-        out = _solve_corner(current, s, tol, orthant_cap, _corners)
+        if point and _corners:
+            out = next(iter(_corners.values()))
+        else:
+            out = _solve_corner(current, s, tol, orthant_cap, _corners)
         if out.status is Status.INFEASIBLE:
             bound = -np.inf
             witness = current
@@ -381,6 +396,8 @@ def worst_upper_bound(
         if s.entries in visited:
             break
         visited.add(s.entries)
+        if point:
+            _corners.setdefault(s.entries, out)
         current = problem.worst_corner(s)
 
     return bound, witness, tuple(log)

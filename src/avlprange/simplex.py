@@ -561,6 +561,16 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     )
 
 
+def _integer_rows(entries) -> tuple[int, ...]:
+    """Basis row labels as Python ints; ``InputError`` for any entry
+    that is not a Python or numpy integer (floats, bools, strings),
+    which ``int()`` would otherwise truncate or coerce."""
+    rows = tuple(entries)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in rows):
+        raise InputError(f"basis rows must be integers, got {rows}")
+    return tuple(int(i) for i in rows)
+
+
 class _BasisSolution(NamedTuple):
     """Basic solution of ``max c @ x, G x <= g`` at one row basis, read
     from a single factorization of ``G[B]``."""
@@ -582,8 +592,8 @@ def _basis_solution(G: np.ndarray, g: np.ndarray, c: np.ndarray, idx: np.ndarray
     y = fact.solve_transpose(c)
     mask = np.ones(G.shape[0], dtype=bool)
     mask[idx] = False
-    primal_ok = bool(np.all(G[mask] @ x <= g[mask] + tol))
-    dual_ok = bool(np.all(y >= -tol))
+    primal_ok = bool((G[mask] @ x <= g[mask] + tol).all())
+    dual_ok = bool((y >= -tol).all())
     return _BasisSolution(x, y, primal_ok, dual_ok)
 
 
@@ -596,21 +606,22 @@ def check_basis_optimal(G, g, c, basis, tol: float = DEFAULT_TOL) -> BasisOptima
     multipliers ``G[B]^-T c`` are nonnegative; it is reported
     nondegenerate when the multipliers are strictly positive beyond the
     tolerance.  Raises ``SingularMatrixError`` when ``G[B]`` cannot be
-    factored and ``InputError`` unless ``0 < tol <= 1e-3``.
+    factored, and ``InputError`` unless ``0 < tol <= 1e-3`` and every
+    entry of ``B`` is an integer.
     """
     _check_tolerances(tol)
     G = np.asarray(G, dtype=float)
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = G.shape
-    rows = tuple(int(i) for i in basis)
+    rows = _integer_rows(basis)
     if len(rows) != n or len(set(rows)) != n:
         raise InputError(f"basis must name {n} distinct rows, got {rows}")
     if any(i < 0 or i >= m for i in rows):
         raise InputError(f"basis rows out of range for {m} rows: {rows}")
     sol = _basis_solution(G, g, c, np.array(rows, dtype=int), tol)
     if sol.primal_ok and sol.dual_ok:
-        if np.all(sol.y > tol):
+        if (sol.y > tol).all():
             return BasisOptimality.OPTIMAL_NONDEGENERATE
         return BasisOptimality.OPTIMAL
     return BasisOptimality.NOT_OPTIMAL

@@ -28,7 +28,7 @@ iteration run instead.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,16 +56,9 @@ from .intervals import (
 )
 from .linalg import enclose_interval_solution, solve_square
 from .ranges import AvlpProblem, Realization, relaxed_interval_lp
-from .simplex import LpProblem, Status, _basis_solution, solve_lp
+from .simplex import LpProblem, Status, _basis_solution, _integer_rows, solve_lp
 
 NONDEGENERACY_MARGIN = 1e-7
-
-
-def _integer_rows(entries) -> tuple[int, ...]:
-    rows = tuple(entries)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in rows):
-        raise InputError(f"basis rows must be integers, got {rows}")
-    return tuple(int(i) for i in rows)
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,14 @@ class Basis:
         return np.array(self.rows, dtype=int)
 
     def complement(self, total_rows: int) -> np.ndarray:
-        mask = np.ones(total_rows, dtype=bool)
-        mask[self.as_array()] = False
-        return np.nonzero(mask)[0]
+        return _complement(self.as_array(), total_rows)
+
+
+def _complement(rows: np.ndarray, total_rows: int) -> np.ndarray:
+    """Sorted indices in ``range(total_rows)`` outside ``rows``."""
+    mask = np.ones(total_rows, dtype=bool)
+    mask[rows] = False
+    return np.flatnonzero(mask)
 
 
 class CertificateStatus(str, Enum):
@@ -207,7 +205,7 @@ def verify_b_stability(
             reason=f"primal enclosure failed: {exc}",
         )
 
-    comp = np.setdiff1d(np.arange(problem.m), rows)
+    comp = _complement(rows, problem.m)
     if comp.size:
         reach = interval_matvec(star.take_rows(comp), primal)
         margins = rhs.inf[comp] - reach.sup
@@ -293,8 +291,10 @@ def _enclosure_signs(
     box = None if certificate is None else certificate.primal_enclosure
     if box is None or len(box) != n:
         return None
-    signs = np.where(box.inf > 0.0, 1.0, np.where(box.sup < 0.0, -1.0, 0.0))
-    return signs if np.all(signs != 0.0) else None
+    positive = box.inf > 0.0
+    if not (positive | (box.sup < 0.0)).all():
+        return None
+    return np.where(positive, 1.0, -1.0)
 
 
 def best_case_bstable(
@@ -358,12 +358,11 @@ def best_case_bstable(
     return out.value
 
 
-def _solves(system: GaveSystem, x: np.ndarray) -> bool:
-    """Whether the true residual of ``x`` is below ``1e-8 * (1 +
-    max|g|)``, the contract of ``solve_gave``."""
-    M, F, g = system.M, system.F, system.g
-    residual = float(np.max(np.abs(M @ x + F @ np.abs(x) - g), initial=0.0))
-    return residual <= 1e-8 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
+def _solves(M: np.ndarray, F: np.ndarray, g: np.ndarray, x: np.ndarray) -> bool:
+    """Whether the true residual of ``x`` in ``M x + F |x| = g`` is
+    below ``1e-8 * (1 + max|g|)``, the contract of ``solve_gave``."""
+    residual = float(np.abs(M @ x + F @ np.abs(x) - g).max(initial=0.0))
+    return residual <= 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0)))
 
 
 def solve_gave(
@@ -407,7 +406,7 @@ def solve_gave(
             x = solve_square(M + F * s.as_array()[None, :], g)
         except (SingularMatrixError, NumericalError):
             break
-        if _solves(system, x):
+        if _solves(M, F, g, x):
             return x
         s = sign_of(x)
 
@@ -421,7 +420,7 @@ def solve_gave(
             x = solve_square(M + F * s.as_array()[None, :], g)
         except (SingularMatrixError, NumericalError):
             continue
-        if _solves(system, x):
+        if _solves(M, F, g, x):
             return x
     raise NumericalError(
         "no sign-consistent solution of the absolute value system was found; "
@@ -460,28 +459,26 @@ def worst_case_bstable(
         frozenset({CertificateStatus.VERIFIED_NONDEGENERATE}),
     )
 
-    system = GaveSystem(
-        M=problem.A.mid[rows],
-        F=(problem.A.rad - problem.D.inf)[rows],
-        g=problem.b.inf[rows],
-    )
+    mid = problem.A.mid
+    M = mid[rows]
+    F = (problem.A.rad - problem.D.inf)[rows]
+    g = problem.b.inf[rows]
     x_star = None
     signs = _enclosure_signs(certificate, problem.n)
     if signs is not None:
         try:
-            x = solve_square(system.M + system.F * signs[None, :], system.g)
+            x = solve_square(M + F * signs[None, :], g)
         except (SingularMatrixError, NumericalError):
             x = None
-        if x is not None and np.all(signs * x >= 0.0) and _solves(system, x):
+        if x is not None and (signs * x >= 0.0).all() and _solves(M, F, g, x):
             x_star = x
     if x_star is None:
-        x_star = solve_gave(system, cap=cap, tol=tol)
+        x_star = solve_gave(GaveSystem(M=M, F=F, g=g), cap=cap, tol=tol)
     value = float(problem.c.mid @ x_star - problem.c.rad @ np.abs(x_star))
 
-    corner = problem.worst_corner(sign_of(x_star))
-    lhs = problem.A.mid.copy()
-    lhs[rows] = corner.A[rows]
-    return value, x_star, replace(corner, A=lhs)
+    A, b, c, D = problem._worst_corner_arrays(sign_of(x_star))
+    mid[rows] = A[rows]
+    return value, x_star, Realization(A=mid, b=b, c=c, D=D)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,45 @@ class TestContainers:
         assert t.shape == (2, 3)
         assert np.allclose(t.sup, m.sup.T)
 
+    def test_slices_equal_a_validated_construction(self):
+        rng = np.random.default_rng(7)
+        lo = rng.normal(size=(5, 3))
+        m = IntervalMatrix(lo, lo + rng.random((5, 3)))
+        v = IntervalVector(m.inf[:, 0], m.sup[:, 0])
+        idx = [3, 0, 3]
+        pairs = [
+            (v.take(idx), IntervalVector(v.inf[idx], v.sup[idx])),
+            (m.take_rows(idx), IntervalMatrix(m.inf[idx], m.sup[idx])),
+            (m.T, IntervalMatrix(m.inf.T, m.sup.T)),
+        ]
+        for sliced, built in pairs:
+            assert type(sliced) is type(built)
+            for end in ("inf", "sup"):
+                got, want = getattr(sliced, end), getattr(built, end)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+    def test_slices_check_their_shape(self):
+        m = IntervalMatrix.from_point(np.eye(3))
+        v = IntervalVector.from_point([1.0, 2.0, 3.0])
+        for empty in (lambda: v.take([]), lambda: m.take_rows([])):
+            with pytest.raises(InputError, match="nonempty"):
+                empty()
+        for nested in (lambda: v.take([[0, 1]]), lambda: m.take_rows([[0, 1]])):
+            with pytest.raises(DimensionError):
+                nested()
+        for outside in (lambda: v.take([3]), lambda: m.take_rows([3])):
+            with pytest.raises(IndexError):
+                outside()
+
+    def test_midrad_overflow_rejected(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(InputError, match="interval vector sup must contain only finite"):
+                IntervalVector.from_midrad([1e308], [1e308])
+            with pytest.raises(InputError, match="interval matrix inf must contain only finite"):
+                IntervalMatrix.from_midrad([[-1e308]], [[1e308]])
+
     def test_contains_and_sample(self):
         rng = np.random.default_rng(5)
         m = IntervalMatrix.from_midrad(rng.normal(size=(3, 2)), rng.uniform(0, 1, (3, 2)))

@@ -187,6 +187,16 @@ class TestEnclosure:
         with pytest.raises(UnknownRegularityError):
             enclose_interval_solution(rotated, b)
 
+    def test_singular_midpoint_after_a_beeck_test(self):
+        # the Beeck test and the enclosure share one midpoint inverse
+        singular = IntervalMatrix.from_point([[1.0, 1.0], [1.0, 1.0]])
+        assert beeck_regular(singular).reason == "midpoint-singular"
+        with pytest.raises(
+            UnknownRegularityError, match=r"^unknown-regularity: midpoint is singular$"
+        ):
+            enclose_interval_solution(singular, IntervalVector.from_point([1.0, 1.0]))
+        assert beeck_regular(singular).reason == "midpoint-singular"
+
     def test_shape_mismatch_rejected(self):
         a = IntervalMatrix.from_point([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DimensionError):

@@ -45,6 +45,16 @@ def _point_problem(A, b, c, D):
     )
 
 
+def _box_point_problem():
+    """Point data in a box, with point relief in every entry."""
+    return _point_problem(
+        [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        [1.0, 2.0, 1.0, 2.0],
+        [1.0, 1.0],
+        np.full((4, 2), 0.1),
+    )
+
+
 def _scalar_interval_problem():
     """One variable, one row a*x <= 1 with a in [-1, 1], objective x."""
     return AvlpProblem(
@@ -196,6 +206,24 @@ class TestPointData:
         assert report.worst_lower == pytest.approx(5.0, abs=1e-12)
         assert report.worst_upper == pytest.approx(5.0, abs=1e-12)
         assert report.lower_tight is True
+
+    def test_full_range_solves_three_programs(self, monkeypatch):
+        # best, worst-lower, and the one worst-corner program, which the
+        # upper iteration's midpoint start shares with the certificate
+        calls = []
+        real_solve = ranges.solve_gen_avlp
+
+        def solve(program, **kwargs):
+            calls.append(program)
+            return real_solve(program, **kwargs)
+
+        monkeypatch.setattr(ranges, "solve_gen_avlp", solve)
+        report = full_range(_box_point_problem())
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert (report.best, report.worst_lower, report.worst_upper) == (3.75, 3.75, 3.75)
+        assert report.lower_tight is True
+        assert [step.status for step in report.upper_log] == [Status.OPTIMAL] * 2
 
 
 class TestScalarIntervalRow:
@@ -371,6 +399,8 @@ def _range_problem(request, name):
         return request.getfixturevalue(name)
     if name == "zero-entry":
         return _zero_entry_problem()
+    if name == "point":
+        return _box_point_problem()
     return random_box_bounded_problem(np.random.default_rng([62, int(name.split("-")[1])]))
 
 
@@ -400,7 +430,8 @@ def _restricted_lp(problem, s):
     ))
 
 
-@pytest.mark.parametrize("name", _RANGE_CASES)
+# on point data the upper iteration's start shares the corner memo
+@pytest.mark.parametrize("name", _RANGE_CASES + ["point"])
 def test_full_range_equals_its_public_parts_bit_for_bit(request, name):
     problem = _range_problem(request, name)
     report = full_range(problem)

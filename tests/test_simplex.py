@@ -193,6 +193,16 @@ class TestBasisClassification:
         with pytest.raises(InputError):
             check_basis_optimal(self.G, self.g, self.c, (0, 9))
 
+    @pytest.mark.parametrize("basis", [(1.9, 2.2), (True, 2), (0.0, 1.0), ("0", 1)])
+    def test_non_integer_rows_rejected(self, basis):
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(InputError, match="integers"):
+            check_basis_optimal(G, np.array([3.0, 4.0, 5.0]), np.array([1.0, 2.0]), basis)
+
+    def test_numpy_integer_rows_accepted(self):
+        verdict = check_basis_optimal(self.G, self.g, self.c, np.array([0, 1], dtype=np.int32))
+        assert verdict is BasisOptimality.OPTIMAL_NONDEGENERATE
+
     def test_singular_block_raises(self):
         G = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(SingularMatrixError):

@@ -97,6 +97,49 @@ class TestCertificate:
             verify_b_stability(example4, Basis((0, 7)))
 
 
+    def test_one_verified_certificate_inverts_two_midpoints(self, example4, monkeypatch):
+        # the Beeck test and the primal enclosure share the basic
+        # block's inverse; the dual enclosure inverts its transpose
+        calls = []
+        inv = np.linalg.inv
+
+        def counting_inv(a):
+            calls.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        cert = verify_b_stability(example4, Basis((0, 1)))
+        monkeypatch.undo()
+        assert cert.status is CertificateStatus.VERIFIED_NONDEGENERATE
+        assert calls == [(2, 2), (2, 2)]
+
+    def test_singular_basic_block_is_unknown(self):
+        problem = AvlpProblem(
+            A=IntervalMatrix.from_point([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]),
+            b=IntervalVector.from_point([1.0, 1.0, 1.0]),
+            c=IntervalVector.from_point([1.0, 1.0]),
+            D=IntervalMatrix.from_point(np.zeros((3, 2))),
+        )
+        cert = verify_b_stability(problem, (0, 1))
+        assert cert.status is CertificateStatus.UNKNOWN
+        assert cert.regularity.reason == "midpoint-singular"
+        assert cert.reason == (
+            "regularity of the basic block could not be verified (midpoint-singular)"
+        )
+
+    def test_analysis_leaves_the_problem_untouched(self, example4):
+        owned = (example4, example4.A, example4.b, example4.c, example4.D)
+        before = [dict(vars(obj)) for obj in owned]
+        cert = verify_b_stability(example4, (0, 1))
+        best_case_bstable(example4, (0, 1), certificate=cert)
+        worst_case_bstable(example4, (0, 1), certificate=cert)
+        after = [dict(vars(obj)) for obj in owned]
+        assert cert.status is CertificateStatus.VERIFIED_NONDEGENERATE
+        for old, new in zip(before, after):
+            assert new.keys() == old.keys()
+            assert all(new[key] is old[key] for key in old)
+
+
 class TestStableValues:
     def test_best_matches_global_best(self, example4):
         cert = verify_b_stability(example4, Basis((0, 1)))
