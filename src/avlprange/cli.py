@@ -49,6 +49,8 @@ from .stability import (
     Basis,
     CertificateStatus,
     StabilityCertificate,
+    _BEST_ACCEPTS,
+    _WORST_ACCEPTS,
     _basis_rows,
     best_case_bstable,
     verify_b_stability,
@@ -71,9 +73,10 @@ def _build_parser() -> _Parser:
                         help="numerical tolerance, a finite number in (0, 1e-3] "
                              "(default 1e-9)")
     common.add_argument("--orthant-cap", type=int, default=DEFAULT_ORTHANT_CAP,
-                        help="refuse programs with more variables than this; only "
-                             "variables with a nonconvex |x| term are split "
-                             "into sign orthants, but all count")
+                        help="refuse programs with more variables than this, at "
+                             f"least 1 (default {DEFAULT_ORTHANT_CAP}); only variables with a "
+                             "nonconvex |x| term are split into sign orthants, "
+                             "but all count")
     common.add_argument("--max-iters", type=int, default=50,
                         help="iteration limit of the worst-case upper bound, "
                              "at least 1 (default 50)")
@@ -326,12 +329,7 @@ def _cmd_solve(problem: AvlpProblem, args) -> dict:
 
 def _cmd_best(problem: AvlpProblem, args) -> dict:
     if args.bstable:
-        basis, cert = _verified_certificate(
-            problem,
-            args,
-            (CertificateStatus.VERIFIED, CertificateStatus.VERIFIED_NONDEGENERATE),
-            "best case",
-        )
+        basis, cert = _verified_certificate(problem, args, _BEST_ACCEPTS, "best case")
         value = best_case_bstable(problem, basis, tol=args.tol, certificate=cert)
         return {
             "values": {"best": _ext(value)},
@@ -346,9 +344,7 @@ def _cmd_best(problem: AvlpProblem, args) -> dict:
 
 def _cmd_worst(problem: AvlpProblem, args) -> dict:
     if args.bstable:
-        basis, cert = _verified_certificate(
-            problem, args, (CertificateStatus.VERIFIED_NONDEGENERATE,), "worst case"
-        )
+        basis, cert = _verified_certificate(problem, args, _WORST_ACCEPTS, "worst case")
         value, x_star, witness = worst_case_bstable(
             problem, basis, cap=args.orthant_cap, tol=args.tol, certificate=cert
         )
@@ -360,20 +356,8 @@ def _cmd_worst(problem: AvlpProblem, args) -> dict:
             },
             "certificates": {"stability": _certificate_doc(cert)},
         }
-    report = full_range(
-        problem, tol=args.tol, max_iters=args.max_iters, orthant_cap=args.orthant_cap
-    )
-    payload = {
-        "values": {
-            "worst_lower": _ext(report.worst_lower),
-            "worst_upper": _ext(report.worst_upper),
-            "lower_tight": report.lower_tight,
-        },
-        "witnesses": {"worst_upper": _realization_doc(report.upper_witness)},
-        "logs": {"upper_iteration": _iteration_doc(report.upper_log)},
-    }
-    if report.errors:
-        payload["errors"] = dict(report.errors)
+    payload = _cmd_range(problem, args)
+    del payload["values"]["best"], payload["witnesses"]["best"]
     return payload
 
 
@@ -432,6 +416,8 @@ def _cmd_vertices(problem: AvlpProblem, args) -> dict:
 def _cmd_sample_oracle(problem: AvlpProblem, args) -> dict:
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must be a nonnegative integer")
     rng = np.random.default_rng(args.seed)
     statuses: Counter = Counter()
     low = np.inf
@@ -472,6 +458,8 @@ _HANDLERS = {
 def run_command(args) -> dict:
     """Execute one parsed command and assemble its report."""
     _check_tolerances(args.tol, args.max_iters)
+    if args.orthant_cap < 1:
+        raise InputError(f"--orthant-cap must be at least 1, got {args.orthant_cap}")
     path = Path(args.path)
     raw = path.read_bytes()
     problem = problem_from_dict(_decode_document(raw, path))

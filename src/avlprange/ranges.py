@@ -14,10 +14,10 @@ bound on the worst case from above.
 
 Both the certificate and the iteration solve worst-case corner
 realizations ``AvlpProblem.worst_corner(s)``, and they often meet the
-same sign ``s``.  ``full_range`` shares one memo of corner outcomes,
-keyed by ``s``, between them, so each distinct corner is solved once
-per analysis.  The certificate needs no further LP when the corner's
-own optimizer already lies in the closed orthant of ``s``.
+same realization.  ``full_range`` shares one memo of outcomes, keyed by
+the realization's data, between them, so each distinct realization is
+solved once per analysis.  The certificate needs no further LP when the
+corner's own optimizer already lies in the closed orthant of ``s``.
 """
 
 from __future__ import annotations
@@ -263,23 +263,23 @@ def worst_lower_bound(
 
 def _solve_corner(
     corner: Realization,
-    s: SignVector | None,
     tol: float,
     orthant_cap: int,
-    corners: dict[tuple[int, ...], SolveOutcome] | None,
+    corners: dict[bytes, SolveOutcome] | None,
 ) -> SolveOutcome:
-    """Outcome of ``corner.program()``, where ``corner`` is
-    ``worst_corner(s)`` unless ``s`` is None.
+    """Outcome of ``corner.program()``.
 
-    With a memo ``corners`` each sign is solved once: the same corner
-    at the same ``tol`` and ``orthant_cap`` always gives the same
-    outcome.
+    With a memo ``corners`` each realization is solved once: the same
+    data at the same ``tol`` and ``orthant_cap`` always gives the same
+    outcome.  The key is the bytes of ``A``, ``b``, ``c`` and ``D``,
+    whose shapes are fixed for one problem.
     """
-    if corners is None or s is None:
+    if corners is None:
         return solve_gen_avlp(corner.program(), tol=tol, orthant_cap=orthant_cap)
-    out = corners.get(s.entries)
+    key = b"".join(x.tobytes() for x in (corner.A, corner.b, corner.c, corner.D))
+    out = corners.get(key)
     if out is None:
-        out = corners[s.entries] = solve_gen_avlp(
+        out = corners[key] = solve_gen_avlp(
             corner.program(), tol=tol, orthant_cap=orthant_cap
         )
     return out
@@ -291,7 +291,7 @@ def lower_tightness(
     tol: float = DEFAULT_TOL,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
     *,
-    _corners: dict[tuple[int, ...], SolveOutcome] | None = None,
+    _corners: dict[bytes, SolveOutcome] | None = None,
 ) -> bool:
     """Certify that the worst-case lower bound is exact.
 
@@ -312,7 +312,7 @@ def lower_tightness(
     """
     _check_tolerances(tol)
     corner = problem.worst_corner(s_star)
-    out = _solve_corner(corner, s_star, tol, orthant_cap, _corners)
+    out = _solve_corner(corner, tol, orthant_cap, _corners)
     if out.status is not Status.OPTIMAL:
         return False
     s_arr = s_star.as_array()
@@ -338,7 +338,7 @@ def worst_upper_bound(
     max_iters: int = 50,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
     *,
-    _corners: dict[tuple[int, ...], SolveOutcome] | None = None,
+    _corners: dict[bytes, SolveOutcome] | None = None,
 ) -> tuple[float, Realization | None, tuple[IterationStep, ...]]:
     """Upper bound on the worst case value by iterated sign updates.
 
@@ -352,28 +352,19 @@ def worst_upper_bound(
     worst case is exactly ``-inf`` and stops immediately; an unbounded
     iterate contributes ``+inf`` and the iteration continues along its
     ray's sign.  ``_corners`` is ``full_range``'s memo of corner
-    outcomes.  On point data in ``A`` and ``c`` every worst corner is
-    bitwise the midpoint start, so the start and the corners share
-    the memo's outcomes.
+    outcomes.
     """
     _check_tolerances(tol, max_iters)
     current = Realization(
         A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
     )
-    point = _corners is not None and all(
-        x.inf.tobytes() == x.sup.tobytes() == x.mid.tobytes() for x in (problem.A, problem.c)
-    )
-    s = None
     bound = np.inf
     witness: Realization | None = None
     log: list[IterationStep] = []
     visited: set[tuple[int, ...]] = set()
 
     for index in range(max_iters):
-        if point and _corners:
-            out = next(iter(_corners.values()))
-        else:
-            out = _solve_corner(current, s, tol, orthant_cap, _corners)
+        out = _solve_corner(current, tol, orthant_cap, _corners)
         if out.status is Status.INFEASIBLE:
             bound = -np.inf
             witness = current
@@ -396,8 +387,6 @@ def worst_upper_bound(
         if s.entries in visited:
             break
         visited.add(s.entries)
-        if point:
-            _corners.setdefault(s.entries, out)
         current = problem.worst_corner(s)
 
     return bound, witness, tuple(log)
@@ -422,7 +411,7 @@ def full_range(
     """Run all three analyses and aggregate them into a report.
 
     The tightness certificate and the upper iteration share one memo
-    of worst-corner outcomes, so each distinct corner is solved once;
+    of corner outcomes, so each distinct realization is solved once;
     the report equals the one the public analyses give when run one by
     one.  Component failures are caught and recorded per field; the
     other analyses still run.  The mutual orderings of the produced
@@ -430,9 +419,9 @@ def full_range(
     """
     _check_tolerances(tol, max_iters)
     errors: dict[str, str] = {}
-    # worst-corner outcomes by sign, shared by the certificate and the
-    # upper iteration
-    corners: dict[tuple[int, ...], SolveOutcome] = {}
+    # outcomes of the realizations the certificate and the upper
+    # iteration solve, keyed by their data
+    corners: dict[bytes, SolveOutcome] = {}
 
     best = best_witness = None
     try:

@@ -276,24 +276,13 @@ def _pivot(T: np.ndarray, basis: list[int], r: int, j: int) -> None:
     basis[r] = j
 
 
-@dataclass
-class _Core:
-    status: Status
-    value: float
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
-    basis: tuple[int, ...] | None = None
-    ray: np.ndarray | None = None
-    certificate: np.ndarray | None = None
-
-
 def _solve_inequality(
     G: np.ndarray,
     g: np.ndarray,
     c: np.ndarray,
     equalities: np.ndarray | None,
     tol: float,
-) -> _Core:
+) -> LpOutcome:
     """Internal fast path for ``max c @ x, G x <= g`` (rows flagged in
     ``equalities`` hold with equality).  No input validation."""
     m, n = G.shape
@@ -326,10 +315,10 @@ def _solve_inequality(
         else:
             rows = sorted({int(colrow[j]) for j in res.basis})
         basis = tuple(rows) if (len(rows) == n and res.dropped == 0) else None
-        return _Core(Status.OPTIMAL, float(c @ x), x=x, y=y, basis=basis)
+        return LpOutcome(Status.OPTIMAL, float(c @ x), x=x, y=y, basis=basis)
     if res.status is Status.UNBOUNDED:
         # dual unbounded below: the primal is infeasible
-        return _Core(Status.INFEASIBLE, -np.inf, certificate=to_rows(res.ray))
+        return LpOutcome(Status.INFEASIBLE, -np.inf, certificate=to_rows(res.ray))
 
     # dual infeasible: primal is unbounded if feasible, infeasible otherwise
     direction = res.farkas
@@ -337,9 +326,9 @@ def _solve_inequality(
     if feas.status is Status.OPTIMAL:
         scale = float(np.max(np.abs(direction), initial=0.0))
         ray = direction / scale if scale > 0 else direction
-        return _Core(Status.UNBOUNDED, np.inf, x=feas.multipliers, ray=ray)
+        return LpOutcome(Status.UNBOUNDED, np.inf, x=feas.multipliers, ray=ray)
     if feas.status is Status.UNBOUNDED:
-        return _Core(Status.INFEASIBLE, -np.inf, certificate=to_rows(feas.ray))
+        return LpOutcome(Status.INFEASIBLE, -np.inf, certificate=to_rows(feas.ray))
     raise NumericalError("numerical-failure: feasibility probe returned an impossible status")
 
 
@@ -549,16 +538,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     ``0 < tol <= 1e-3``.
     """
     _check_tolerances(tol)
-    core = _solve_inequality(problem.G, problem.g, problem.c, problem.equalities, tol)
-    return LpOutcome(
-        status=core.status,
-        value=core.value,
-        x=core.x,
-        y=core.y,
-        basis=core.basis,
-        ray=core.ray,
-        certificate=core.certificate,
-    )
+    return _solve_inequality(problem.G, problem.g, problem.c, problem.equalities, tol)
 
 
 def _integer_rows(entries) -> tuple[int, ...]:

@@ -109,6 +109,12 @@ class CertificateStatus(str, Enum):
     UNKNOWN = "unknown"
 
 
+#: Certificate statuses under which the basis-stable best and worst
+#: case values are valid.
+_BEST_ACCEPTS = (CertificateStatus.VERIFIED, CertificateStatus.VERIFIED_NONDEGENERATE)
+_WORST_ACCEPTS = (CertificateStatus.VERIFIED_NONDEGENERATE,)
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Outcome of the three sufficient checks.
@@ -266,7 +272,7 @@ def verify_b_stability(
 def _warn_unverified(
     certificate: StabilityCertificate | None,
     need: str,
-    accepted: frozenset[CertificateStatus],
+    accepted: tuple[CertificateStatus, ...],
 ) -> None:
     if certificate is None:
         warnings.warn(
@@ -326,13 +332,7 @@ def best_case_bstable(
     """
     _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
-    _warn_unverified(
-        certificate,
-        "basis stability",
-        frozenset(
-            {CertificateStatus.VERIFIED, CertificateStatus.VERIFIED_NONDEGENERATE}
-        ),
-    )
+    _warn_unverified(certificate, "basis stability", _BEST_ACCEPTS)
     star, rhs, cost = relaxed_interval_lp(problem)
     n = problem.n
     c = rhs.sup[rows]
@@ -356,6 +356,17 @@ def best_case_bstable(
             f"stability of the supplied basis"
         )
     return out.value
+
+
+def _at_sign(
+    M: np.ndarray, F: np.ndarray, g: np.ndarray, s: np.ndarray
+) -> np.ndarray | None:
+    """Solution of ``M x + F |x| = g`` with ``|x|`` fixed to
+    ``diag(s) x``, or None when that linear system fails to solve."""
+    try:
+        return solve_square(M + F * s[None, :], g)
+    except (SingularMatrixError, NumericalError):
+        return None
 
 
 def _solves(M: np.ndarray, F: np.ndarray, g: np.ndarray, x: np.ndarray) -> bool:
@@ -402,9 +413,8 @@ def solve_gave(
     visited: set[tuple[int, ...]] = set()
     while s is not None and len(visited) <= n + 2 and s.entries not in visited:
         visited.add(s.entries)
-        try:
-            x = solve_square(M + F * s.as_array()[None, :], g)
-        except (SingularMatrixError, NumericalError):
+        x = _at_sign(M, F, g, s.as_array())
+        if x is None:
             break
         if _solves(M, F, g, x):
             return x
@@ -416,11 +426,8 @@ def solve_gave(
             f"patterns exceeds the cap of {cap} variables"
         )
     for s in all_sign_vectors(n):
-        try:
-            x = solve_square(M + F * s.as_array()[None, :], g)
-        except (SingularMatrixError, NumericalError):
-            continue
-        if _solves(M, F, g, x):
+        x = _at_sign(M, F, g, s.as_array())
+        if x is not None and _solves(M, F, g, x):
             return x
     raise NumericalError(
         "no sign-consistent solution of the absolute value system was found; "
@@ -453,11 +460,7 @@ def worst_case_bstable(
     """
     _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
-    _warn_unverified(
-        certificate,
-        "nondegenerate basis stability",
-        frozenset({CertificateStatus.VERIFIED_NONDEGENERATE}),
-    )
+    _warn_unverified(certificate, "nondegenerate basis stability", _WORST_ACCEPTS)
 
     mid = problem.A.mid
     M = mid[rows]
@@ -466,10 +469,7 @@ def worst_case_bstable(
     x_star = None
     signs = _enclosure_signs(certificate, problem.n)
     if signs is not None:
-        try:
-            x = solve_square(M + F * signs[None, :], g)
-        except (SingularMatrixError, NumericalError):
-            x = None
+        x = _at_sign(M, F, g, signs)
         if x is not None and (signs * x >= 0.0).all() and _solves(M, F, g, x):
             x_star = x
     if x_star is None:

@@ -247,6 +247,12 @@ def test_input_errors_exit_2(capsys, fixtures_dir):
     )
     assert code == 2
     assert "--corner" in err
+    code, out, err = run(
+        capsys, "sample-oracle", str(fixtures_dir / "example2.json"), "--seed", "-1"
+    )
+    assert code == 2
+    assert "--seed must be a nonnegative integer" in err
+    assert out == ""
 
 
 def test_undecodable_realization_file_exits_2(capsys, fixtures_dir, tmp_path):
@@ -262,7 +268,7 @@ def test_undecodable_realization_file_exits_2(capsys, fixtures_dir, tmp_path):
 def test_out_of_range_tolerances_exit_2(capsys, fixtures_dir):
     path = str(fixtures_dir / "example1.json")
     for option in (["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol", "0.5"],
-                   ["--max-iters", "0"]):
+                   ["--max-iters", "0"], ["--orthant-cap", "0"], ["--orthant-cap", "-1"]):
         code, out, err = run(capsys, "range", path, *option)
         assert code == 2, option
         assert "input error" in err

@@ -1,5 +1,7 @@
 """Best case, worst-case bracket, tightness certificate, aggregation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from avlprange import (
     check_basis_optimal,
     full_range,
     lower_tightness,
+    parse_problem,
     relaxed_interval_lp,
     sample_realization,
     sign_of,
@@ -385,13 +388,16 @@ def _zero_entry_problem():
 
 
 #: Problems on which ``full_range`` is checked against its parts: the
-#: fixtures, a corner optimizer with a zero entry, and seeded random
-#: box-bounded instances.  Among the random ones, the upper iteration
-#: of random-14 and random-35 revisits the negation of a sign the
-#: certificate solved, so a memo looked up under the wrong sign shows.
-_RANGE_CASES = ["example1", "example2", "example3", "example4", "zero-entry"] + [
-    f"random-{i}" for i in range(40)
-]
+#: fixtures, a corner optimizer with a zero entry, a problem with
+#: intervals in one column only, and seeded random box-bounded
+#: instances.  Among the random ones, the upper iteration of random-14
+#: and random-35 revisits the negation of a sign the certificate
+#: solved, so a memo looked up under the wrong sign shows.  In
+#: repeated-corner the certificate and the upper iteration meet signs
+#: that differ only in point-data columns, whose worst corners are
+#: bitwise equal, so a memo keyed by sign solves one of them twice.
+_RANGE_CASES = ["example1", "example2", "example3", "example4", "zero-entry",
+                "repeated-corner"] + [f"random-{i}" for i in range(40)]
 
 
 def _range_problem(request, name):
@@ -401,6 +407,8 @@ def _range_problem(request, name):
         return _zero_entry_problem()
     if name == "point":
         return _box_point_problem()
+    if name == "repeated-corner":
+        return parse_problem(Path(__file__).parent / "data" / "repeated_corner_problem.json")
     return random_box_bounded_problem(np.random.default_rng([62, int(name.split("-")[1])]))
 
 
