@@ -42,6 +42,7 @@ from .ranges import (
     best_case,
     full_range,
     sample_realization,
+    worst_range,
     worst_upper_bound,
 )
 from .simplex import Status
@@ -356,13 +357,13 @@ def _cmd_worst(problem: AvlpProblem, args) -> dict:
             },
             "certificates": {"stability": _certificate_doc(cert)},
         }
-    payload = _cmd_range(problem, args)
+    payload = _cmd_range(problem, args, analysis=worst_range)
     del payload["values"]["best"], payload["witnesses"]["best"]
     return payload
 
 
-def _cmd_range(problem: AvlpProblem, args) -> dict:
-    report = full_range(
+def _cmd_range(problem: AvlpProblem, args, analysis=full_range) -> dict:
+    report = analysis(
         problem, tol=args.tol, max_iters=args.max_iters, orthant_cap=args.orthant_cap
     )
     payload = {

@@ -19,7 +19,7 @@ class DimensionError(InputError):
 
 
 class SingularMatrixError(AvlpRangeError):
-    """A square system could not be factored reliably."""
+    """A square system is singular to working precision."""
 
 
 class NumericalError(AvlpRangeError):

@@ -19,12 +19,15 @@ of the same matrix inverts its midpoint once.
 interval system restricted to one orthant.  Inside a fixed orthant the
 solution set's extreme points are taken at endpoint matrices, which is
 what the 2**n corner sweep visits.
+
+Square solves here and in ``simplex.check_basis_optimal`` go through
+one checked inverse from ``numpy.linalg.inv``, so the runtime needs
+numpy alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +49,12 @@ from .intervals import (
     rex_rohn_regular,
 )
 
-#: A pivot below this fraction of the matrix norm counts as singular.
+#: Reciprocal condition floor for square inverses: a matrix ``A`` with
+#: ``PIVOT_RTOL * max(||A||_inf, 1) * ||A^-1||_inf > 1`` counts as
+#: singular to working precision.  ``||A||_inf * ||A^-1||_inf`` is the
+#: infinity-norm condition number of ``A``, and the ``max(., 1)`` keeps
+#: matrices with small entries from reading as singular for their
+#: scale alone.
 PIVOT_RTOL = 1e-12
 
 #: Residual contract for square solves, relative to the natural scale.
@@ -57,78 +65,50 @@ RESIDUAL_RTOL = 1e-8
 DEDUP_TOL = 1e-7
 
 
-def _lapack():
-    # deferred: scipy.linalg takes most of the package's import time
-    from scipy.linalg import lapack
+def _checked_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse of a square matrix and its infinity norm ``||A||_inf``.
 
-    return lapack
-
-
-@dataclass(frozen=True)
-class LuFactorization:
-    """LU factors of a square matrix with partial pivoting.
-
-    Wraps the packed LAPACK representation of ``dgetrf``; ``solve``
-    and ``solve_transpose`` reuse it through ``dgetrs`` for repeated
-    right sides.  Both are called directly, which gives the factors
-    and solutions of ``scipy.linalg.lu_factor``/``lu_solve`` without
-    their per-call checks.
+    Raises ``DimensionError`` for a matrix that is not square or is
+    empty, and ``SingularMatrixError`` for non-finite entries, when
+    LAPACK finds an exact zero pivot, or when the condition estimate
+    fails the ``PIVOT_RTOL`` floor.
     """
-
-    lu: np.ndarray
-    piv: np.ndarray
-    norm: float
-
-    @classmethod
-    def factor(cls, matrix) -> "LuFactorization":
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionError(f"LU factorization needs a square matrix, got {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise SingularMatrixError("matrix contains non-finite entries")
-        if matrix.size == 0:
-            raise DimensionError("LU factorization needs a nonempty matrix")
-        norm = float(np.abs(matrix).sum(axis=1).max())
-        # an exact zero pivot (positive info) fails the pivot floor below
-        lu, piv, _ = _lapack().dgetrf(matrix)
-        pivot_floor = PIVOT_RTOL * max(norm, 1.0)
-        if np.abs(lu.diagonal()).min() < pivot_floor:
-            raise SingularMatrixError(
-                f"pivot below {pivot_floor:.3e}; matrix is singular to working precision"
-            )
-        return cls(lu, piv, norm)
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[0]
-
-    def solve(self, rhs) -> np.ndarray:
-        return self._solve(rhs, 0)
-
-    def solve_transpose(self, rhs) -> np.ndarray:
-        return self._solve(rhs, 1)
-
-    def _solve(self, rhs, trans: int) -> np.ndarray:
-        x, _ = _lapack().dgetrs(self.lu, self.piv, np.asarray(rhs, dtype=float), trans=trans)
-        return x
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DimensionError(f"inverse needs a square matrix, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise SingularMatrixError("matrix contains non-finite entries")
+    if matrix.size == 0:
+        raise DimensionError("inverse needs a nonempty matrix")
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from None
+    norm = float(np.abs(matrix).sum(axis=1).max())
+    condition = max(norm, 1.0) * float(np.abs(inverse).sum(axis=1).max())
+    # an inverse with NaN entries fails this test as well
+    if not PIVOT_RTOL * condition <= 1.0:
+        raise SingularMatrixError(
+            f"condition estimate {condition:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}; "
+            f"matrix is singular to working precision"
+        )
+    return inverse, norm
 
 
 def solve_square(matrix, rhs) -> np.ndarray:
-    """Solve a square real system with partial pivoting.
+    """Solve a square real system through its checked inverse.
 
-    Raises ``SingularMatrixError`` on tiny pivots and
-    ``NumericalError`` when the residual of the computed solution is
-    out of contract.
+    Raises ``SingularMatrixError`` when the matrix fails the
+    ``PIVOT_RTOL`` condition floor and ``NumericalError`` when the
+    residual of the computed solution is out of contract.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    fact = LuFactorization.factor(matrix)
-    if rhs.shape[0] != fact.n:
-        raise DimensionError(f"right side has length {rhs.shape[0]}, expected {fact.n}")
-    x = fact.solve(rhs)
-    scale = fact.norm * float(np.abs(x).max(initial=0.0)) + float(
-        np.abs(rhs).max(initial=0.0)
-    )
+    inverse, norm = _checked_inverse(matrix)
+    n = matrix.shape[0]
+    if rhs.shape[0] != n:
+        raise DimensionError(f"right side has length {rhs.shape[0]}, expected {n}")
+    x = inverse @ rhs
+    scale = norm * float(np.abs(x).max(initial=0.0)) + float(np.abs(rhs).max(initial=0.0))
     residual = float(np.abs(matrix @ x - rhs).max(initial=0.0))
     if residual > RESIDUAL_RTOL * max(scale, 1.0):
         raise NumericalError(
@@ -148,15 +128,14 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
     those assumptions; the caller then raises
     ``UnknownRegularityError``.
     """
-    n = a_lo.shape[0]
     diag_lo = np.diag(a_lo)
     if diag_lo.min() <= 0.0:
         return None
     comp = -np.maximum(np.abs(a_lo), np.abs(a_hi))
     np.fill_diagonal(comp, diag_lo)
     try:
-        inv_comp = LuFactorization.factor(comp).solve(np.eye(n))
-    except (SingularMatrixError, NumericalError):
+        inv_comp, _ = _checked_inverse(comp)
+    except SingularMatrixError:
         return None
     if inv_comp.min() < -1e-12:
         return None

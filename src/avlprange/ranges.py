@@ -22,7 +22,7 @@ corner's own optimizer already lies in the closed orthant of ``s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -410,24 +410,47 @@ def full_range(
 ) -> RangeReport:
     """Run all three analyses and aggregate them into a report.
 
+    The best case runs first, then ``worst_range``; the report equals
+    the one the public analyses give when run one by one.  Component
+    failures are caught and recorded per field; the other analyses
+    still run.  The mutual orderings of the produced values are checked
+    before returning.
+    """
+    _check_tolerances(tol, max_iters)
+    errors: dict[str, str] = {}
+    best = best_witness = None
+    try:
+        best, best_witness = best_case(problem, tol=tol, orthant_cap=orthant_cap)
+    except AvlpRangeError as exc:
+        errors["best"] = str(exc)
+    worst = worst_range(problem, tol=tol, max_iters=max_iters, orthant_cap=orthant_cap)
+    report = replace(
+        worst, best=best, best_witness=best_witness, errors={**errors, **worst.errors}
+    )
+    _check_report(report)
+    return report
+
+
+def worst_range(
+    problem: AvlpProblem,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = 50,
+    orthant_cap: int = DEFAULT_ORTHANT_CAP,
+) -> RangeReport:
+    """The worst-case half of ``full_range``: the bracket, its
+    tightness certificate and the upper iteration, without the best
+    case (``best`` and ``best_witness`` are None).
+
     The tightness certificate and the upper iteration share one memo
-    of corner outcomes, so each distinct realization is solved once;
-    the report equals the one the public analyses give when run one by
-    one.  Component failures are caught and recorded per field; the
-    other analyses still run.  The mutual orderings of the produced
-    values are checked before returning.
+    of corner outcomes, so each distinct realization is solved once.
+    Component failures are recorded per field as in ``full_range``,
+    and the bracket's order is checked before returning.
     """
     _check_tolerances(tol, max_iters)
     errors: dict[str, str] = {}
     # outcomes of the realizations the certificate and the upper
     # iteration solve, keyed by their data
     corners: dict[bytes, SolveOutcome] = {}
-
-    best = best_witness = None
-    try:
-        best, best_witness = best_case(problem, tol=tol, orthant_cap=orthant_cap)
-    except AvlpRangeError as exc:
-        errors["best"] = str(exc)
 
     worst_lower = None
     lower_tight = False
@@ -472,11 +495,11 @@ def full_range(
         errors["worst_upper"] = str(exc)
 
     report = RangeReport(
-        best=best,
+        best=None,
         worst_lower=worst_lower,
         worst_upper=worst_upper,
         lower_tight=lower_tight,
-        best_witness=best_witness,
+        best_witness=None,
         upper_witness=upper_witness,
         upper_log=upper_log,
         errors=errors,
@@ -513,4 +536,5 @@ __all__ = [
     "worst_upper_bound",
     "sample_realization",
     "full_range",
+    "worst_range",
 ]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, NumericalError, SingularMatrixError
 from .intervals import DEFAULT_TOL, _check_tolerances
-from .linalg import LuFactorization
+from .linalg import _checked_inverse
 
 _PIVOT_FLOOR = 1e-10
 
@@ -553,7 +553,7 @@ def _integer_rows(entries) -> tuple[int, ...]:
 
 class _BasisSolution(NamedTuple):
     """Basic solution of ``max c @ x, G x <= g`` at one row basis, read
-    from a single factorization of ``G[B]``."""
+    from a single inverse of ``G[B]``."""
 
     x: np.ndarray
     y: np.ndarray
@@ -565,11 +565,11 @@ def _basis_solution(G: np.ndarray, g: np.ndarray, c: np.ndarray, idx: np.ndarray
                     tol: float) -> _BasisSolution:
     """Point ``x = G[B]^-1 g[B]``, multipliers ``y = G[B]^-T c``, and
     whether ``x`` satisfies the nonbasic rows and ``y >= 0``, both to
-    ``tol``.  Raises ``SingularMatrixError`` when ``G[B]`` cannot be
-    factored."""
-    fact = LuFactorization.factor(G[idx])
-    x = fact.solve(g[idx])
-    y = fact.solve_transpose(c)
+    ``tol``.  Raises ``SingularMatrixError`` when ``G[B]`` is singular
+    to working precision."""
+    inverse, _ = _checked_inverse(G[idx])
+    x = inverse @ g[idx]
+    y = c @ inverse
     mask = np.ones(G.shape[0], dtype=bool)
     mask[idx] = False
     primal_ok = bool((G[mask] @ x <= g[mask] + tol).all())
@@ -585,9 +585,9 @@ def check_basis_optimal(G, g, c, basis, tol: float = DEFAULT_TOL) -> BasisOptima
     when ``x = G[B]^-1 g[B]`` satisfies the nonbasic rows and the basic
     multipliers ``G[B]^-T c`` are nonnegative; it is reported
     nondegenerate when the multipliers are strictly positive beyond the
-    tolerance.  Raises ``SingularMatrixError`` when ``G[B]`` cannot be
-    factored, and ``InputError`` unless ``0 < tol <= 1e-3`` and every
-    entry of ``B`` is an integer.
+    tolerance.  Raises ``SingularMatrixError`` when ``G[B]`` is singular
+    to working precision, and ``InputError`` unless ``0 < tol <= 1e-3``
+    and every entry of ``B`` is an integer.
     """
     _check_tolerances(tol)
     G = np.asarray(G, dtype=float)

@@ -17,7 +17,7 @@ absolute-value system built from the basic rows.
 
 When the certificate's primal enclosure excludes zero, its sign ``S``
 is the sign of the solution of every member system of the basic
-block.  That pins both solves to one square factorization each: the
+block.  That pins both solves to one square inverse each: the
 best-case LP's optimal basis is read off ``S`` and checked a
 posteriori, and the absolute-value system becomes the linear one at
 sign ``S``, checked for sign consistency and residual.  Without such
@@ -323,8 +323,8 @@ def best_case_bstable(
     solution ``y`` solves a member system of the dual block, so it lies
     in the (nonnegative) dual enclosure, and its multipliers are
     ``S * x`` for the solution ``x`` of a member system of the basic
-    block, which lies in the primal enclosure.  One factorization
-    gives ``y``, the multipliers and an a-posteriori check of both
+    block, which lies in the primal enclosure.  One inverse gives
+    ``y``, the multipliers and an a-posteriori check of both
     feasibilities; the value is the LP's dual objective at that basis,
     which equals ``sup(b)_B @ y`` there.  When the check fails (a
     certificate for another basis, say), or the enclosure touches zero,

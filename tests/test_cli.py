@@ -326,3 +326,28 @@ def test_reports_validate_against_schema(capsys, fixtures_dir, docs_dir):
         code, report, _ = run_json(capsys, *argv)
         assert code == 0
         jsonschema.validate(report, schema)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])
+def test_worst_skips_the_best_case(capsys, fixtures_dir, monkeypatch, name):
+    from avlprange import ranges
+
+    calls = []
+    best_case = ranges.best_case
+
+    def counting_best_case(*args, **kwargs):
+        calls.append(args)
+        return best_case(*args, **kwargs)
+
+    monkeypatch.setattr(ranges, "best_case", counting_best_case)
+    path = str(fixtures_dir / f"{name}.json")
+    code, worst, _ = run_json(capsys, "worst", path)
+    assert code == 0
+    assert calls == []
+    code, full, _ = run_json(capsys, "range", path)
+    assert code == 0
+    assert len(calls) == 1
+    del full["values"]["best"], full["witnesses"]["best"]
+    for report in (worst, full):
+        del report["command"], report["wall_time_ms"]
+    assert worst == full

@@ -12,7 +12,6 @@ import pytest
 from avlprange import (
     IntervalMatrix,
     IntervalVector,
-    LuFactorization,
     SignVector,
     SingularMatrixError,
     UnknownRegularityError,
@@ -23,60 +22,69 @@ from avlprange import (
     solve_square,
 )
 from avlprange.errors import DimensionError, OrthantEscapeError
+from avlprange.linalg import _checked_inverse
 
 
 class TestLu:
+    """The checked inverse behind every square solve."""
+
     def test_solve_matches_reference(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        fact = LuFactorization.factor(a)
+        inverse, norm = _checked_inverse(a)
         rhs = np.array([5.0, 10.0])
-        assert np.allclose(fact.solve(rhs), np.linalg.solve(a, rhs), atol=1e-12)
+        assert np.allclose(inverse @ rhs, np.linalg.solve(a, rhs), atol=1e-12)
+        assert norm == 4.0
 
     def test_transpose_solve(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(4, 4)) + 3 * np.eye(4)
-        fact = LuFactorization.factor(a)
+        inverse, _ = _checked_inverse(a)
         c = rng.normal(size=4)
-        assert np.allclose(fact.solve_transpose(c), np.linalg.solve(a.T, c), atol=1e-10)
+        assert np.allclose(c @ inverse, np.linalg.solve(a.T, c), atol=1e-10)
 
     def test_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            LuFactorization.factor([[1.0, 2.0], [2.0, 4.0]])
+            _checked_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_matrix_rhs(self):
         a = np.array([[4.0, 1.0], [0.0, 2.0]])
-        eye = LuFactorization.factor(a).solve(np.eye(2))
-        assert np.allclose(a @ eye, np.eye(2), atol=1e-12)
+        inverse, _ = _checked_inverse(a)
+        assert np.allclose(a @ inverse, np.eye(2), atol=1e-12)
 
-    def test_bit_identical_to_scipy_lu(self):
+    def test_agrees_with_scipy_solve(self):
+        # both solvers are forward stable to O(n eps cond(a)); the
+        # inverse-based x leaves a residual of O(n eps |a||a^-1||b|)
         import scipy.linalg
 
+        eps = np.finfo(float).eps
         rng = np.random.default_rng(23)
         for n in range(1, 21):
             for _ in range(5):
                 a = rng.normal(size=(n, n)) + n * np.eye(n) * rng.uniform(0.0, 1.0)
+                inverse, norm = _checked_inverse(a)
+                bound = 4 * n * eps * norm * float(np.abs(inverse).sum(axis=1).max())
                 rhs = rng.normal(size=n)
                 block = rng.normal(size=(n, 3))
-                fact = LuFactorization.factor(a)
-                lu, piv = scipy.linalg.lu_factor(a)
-                assert fact.lu.tobytes() == lu.tobytes()
-                assert np.array_equal(fact.piv, piv)
-                for trans, solve in ((0, fact.solve), (1, fact.solve_transpose)):
-                    for b in (rhs, block):
-                        want = scipy.linalg.lu_solve((lu, piv), b, trans=trans)
-                        got = solve(b)
+                assert np.array_equal(solve_square(a, rhs), inverse @ rhs)
+                for b in (rhs, block):
+                    for got, want, lhs in (
+                        (inverse @ b, scipy.linalg.solve(a, b), a),
+                        (inverse.T @ b, scipy.linalg.solve(a, b, transposed=True), a.T),
+                    ):
                         assert got.shape == want.shape
-                        assert got.tobytes() == want.tobytes()
+                        assert np.abs(got - want).max() <= bound * np.abs(want).max()
+                        residual = np.abs(lhs @ got - b).max()
+                        assert residual <= bound * np.abs(b).max()
 
     def test_exactly_singular_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            LuFactorization.factor(np.zeros((3, 3)))
+            _checked_inverse(np.zeros((3, 3)))
         with pytest.raises(SingularMatrixError):
-            LuFactorization.factor([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+            _checked_inverse(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]))
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(DimensionError):
-            LuFactorization.factor(np.zeros((0, 0)))
+            _checked_inverse(np.zeros((0, 0)))
 
 
 class TestSolveSquare:
@@ -87,6 +95,11 @@ class TestSolveSquare:
     def test_opposite_corner_system(self):
         x = solve_square([[0.95, 0.95], [-3.1, 2.8]], [12.0, 18.0])
         assert np.allclose(x, [2.943800178412132, 9.687778768956289], atol=1e-12)
+
+    def test_near_singular_matrix_raises(self):
+        # regular in exact arithmetic, condition number about 4e14
+        with pytest.raises(SingularMatrixError):
+            solve_square([[1.0, 1.0], [1.0, 1.0 + 1e-14]], [1.0, 2.0])
 
     def test_random_agreement(self):
         rng = np.random.default_rng(8)
@@ -253,12 +266,47 @@ class TestHullVertices:
             assert np.all(residual <= 1e-9)
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg takes most of the package's import time and only
-    # LuFactorization needs it, so it is imported on first use
-    src = str(Path(__file__).resolve().parent.parent / "src")
+_WITHOUT_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+class BlockScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+
+import numpy as np
+import avlprange
+from avlprange import (
+    Basis, CertificateStatus, best_case_bstable, parse_problem, solve_square,
+    verify_b_stability, worst_case_bstable,
+)
+
+x = solve_square([[2.0, 1.0], [1.0, 3.0]], [5.0, 10.0])
+assert np.allclose(x, [1.0, 3.0])
+problem = parse_problem(sys.argv[1])
+cert = verify_b_stability(problem, Basis((0, 1)))
+assert cert.status is CertificateStatus.VERIFIED_NONDEGENERATE, cert
+best = best_case_bstable(problem, Basis((0, 1)), certificate=cert)
+worst, _, _ = worst_case_bstable(problem, Basis((0, 1)), certificate=cert)
+assert worst <= best, (worst, best)
+assert not any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+print("ok")
+"""
+
+
+def test_basis_stable_chain_runs_without_scipy():
+    # the runtime depends on numpy alone: with every scipy import
+    # blocked, the package imports and the basis-stable chain runs
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, avlprange; print('scipy.linalg' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(root / "fixtures" / "example4.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avlprange import (
     AvlpProblem,
@@ -36,7 +38,7 @@ from avlprange import (
 )
 
 from avlprange import ranges
-from oracles import random_box_bounded_problem
+from oracles import random_box_bounded_problem, random_stable_problem
 
 
 def _point_problem(A, b, c, D):
@@ -546,3 +548,29 @@ def test_corner_optimizer_with_a_zero_entry_certifies_without_an_lp(monkeypatch)
     direct = _restricted_lp(problem, s)
     assert direct.status is Status.OPTIMAL
     assert direct.value == pytest.approx(out.value, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    stable=st.booleans(),
+    data=st.data(),
+)
+def test_row_permutation_leaves_the_exact_optima_unchanged(seed, stable, data):
+    # best and worst_lower are optima of their programs, so the order
+    # of the rows cannot change them; worst_upper and lower_tight
+    # follow the pivot path and are not compared
+    rng = np.random.default_rng(seed)
+    problem = random_stable_problem(rng)[0] if stable else random_box_bounded_problem(rng)
+    order = np.array(data.draw(st.permutations(range(problem.m))))
+    permuted = AvlpProblem(
+        A=problem.A.take_rows(order),
+        b=problem.b.take(order),
+        c=problem.c,
+        D=problem.D.take_rows(order),
+    )
+    report, shuffled = full_range(problem), full_range(permuted)
+    for key in ("best", "worst_lower"):
+        want, got = getattr(report, key), getattr(shuffled, key)
+        assert want is not None and got is not None
+        assert got == want or abs(got - want) <= 1e-9 * (1.0 + abs(want)), key

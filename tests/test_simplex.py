@@ -208,6 +208,11 @@ class TestBasisClassification:
         with pytest.raises(SingularMatrixError):
             check_basis_optimal(G, np.ones(2), self.c, (0, 1))
 
+    def test_near_singular_block_raises(self):
+        G = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14], [0.0, 1.0]])
+        with pytest.raises(SingularMatrixError):
+            check_basis_optimal(G, np.ones(3), self.c, (0, 1))
+
 
 def test_phase_one_cost_row_drift_is_repaired():
     # on this LP the pivoted phase-one cost row drifted to a reduced

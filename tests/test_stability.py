@@ -21,6 +21,7 @@ from avlprange import (
     Status,
     best_case_bstable,
     bstable_characterizations,
+    relaxed_interval_lp,
     solve_gave,
     verify_b_stability,
     worst_case_bstable,
@@ -99,19 +100,24 @@ class TestCertificate:
 
     def test_one_verified_certificate_inverts_two_midpoints(self, example4, monkeypatch):
         # the Beeck test and the primal enclosure share the basic
-        # block's inverse; the dual enclosure inverts its transpose
+        # block's inverse; the dual enclosure inverts its transpose.
+        # Comparison matrices of the enclosures are inverted too, so
+        # only calls on the two midpoints count.
+        mid = relaxed_interval_lp(example4)[0].take_rows([0, 1]).mid
         calls = []
         inv = np.linalg.inv
 
         def counting_inv(a):
-            calls.append(a.shape)
+            calls.append(np.array(a, copy=True))
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         cert = verify_b_stability(example4, Basis((0, 1)))
         monkeypatch.undo()
         assert cert.status is CertificateStatus.VERIFIED_NONDEGENERATE
-        assert calls == [(2, 2), (2, 2)]
+        assert not np.array_equal(mid, mid.T)
+        assert sum(np.array_equal(a, mid) for a in calls) == 1
+        assert sum(np.array_equal(a, mid.T) for a in calls) == 1
 
     def test_singular_basic_block_is_unknown(self):
         problem = AvlpProblem(
