@@ -12,7 +12,6 @@ from .avlp import (
     OrthantRecord,
     SolveOutcome,
     from_realization,
-    min_form,
     solve_gen_avlp,
 )
 from .errors import (
@@ -34,7 +33,6 @@ from .intervals import (
     all_sign_vectors,
     beeck_regular,
     interval_matvec,
-    oettli_prager_member,
     realize_rs,
     realize_s,
     rex_rohn_regular,
@@ -71,11 +69,9 @@ from .simplex import (
 from .stability import (
     Basis,
     CertificateStatus,
-    CharacterizationValues,
     GaveSystem,
     StabilityCertificate,
     best_case_bstable,
-    bstable_characterizations,
     solve_gave,
     verify_b_stability,
     worst_case_bstable,
@@ -105,7 +101,6 @@ __all__ = [
     "realize_s",
     "beeck_regular",
     "rex_rohn_regular",
-    "oettli_prager_member",
     "interval_matvec",
     "solve_square",
     "enclose_interval_solution",
@@ -121,7 +116,6 @@ __all__ = [
     "SolveOutcome",
     "solve_gen_avlp",
     "from_realization",
-    "min_form",
     "AvlpProblem",
     "Realization",
     "IterationStep",
@@ -142,8 +136,6 @@ __all__ = [
     "best_case_bstable",
     "solve_gave",
     "worst_case_bstable",
-    "CharacterizationValues",
-    "bstable_characterizations",
     "parse_problem",
     "problem_from_dict",
     "serialize_problem",

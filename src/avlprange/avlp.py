@@ -5,9 +5,10 @@ A generalized program here is
     maximize  linear_cost @ x + abs_cost @ |x|
     subject to  linear_lhs @ x + abs_lhs @ |x| <= rhs
 
-with ``|x|`` taken entrywise.  Restricted to the orthant where
-``sign(x) = s`` the absolute value collapses, ``|x| = diag(s) x``, and
-the program becomes an ordinary LP.
+with ``|x|`` taken entrywise.  Only maximization is offered: a minimum
+is minus the maximum of the negated costs.  Restricted to the orthant
+where ``sign(x) = s`` the absolute value collapses, ``|x| = diag(s) x``,
+and the program becomes an ordinary LP.
 
 Only columns with a nonconvex ``|x_j|`` term are split this way.  A
 column without ``|x_j|`` terms stays a free variable.  A convex column,
@@ -158,20 +159,6 @@ class SolveOutcome:
             return None
         return sign_of(self.optimizer)
 
-    def active_rows(self, program: GenAvlpProgram, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
-        """Indices of constraints tight at the optimizer.
-
-        Requires an optimal outcome; the program must be the one that
-        produced it.
-        """
-        if self.status is not Status.OPTIMAL or self.optimizer is None:
-            raise InputError("active rows are defined only for an optimal outcome")
-        x = self.optimizer
-        lhs = program.linear_lhs @ x + program.abs_lhs @ np.abs(x)
-        slack = program.rhs - lhs
-        scale = 1.0 + np.abs(program.rhs)
-        return tuple(int(i) for i in np.nonzero(slack <= tol * scale)[0])
-
 
 def _column_kinds(abs_lhs: np.ndarray, abs_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the convex and of the enumerated columns of a max.
@@ -190,7 +177,6 @@ def solve_gen_avlp(
     program: GenAvlpProgram,
     tol: float = DEFAULT_TOL,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
-    minimize: bool = False,
     records: bool = False,
 ) -> SolveOutcome:
     """Solve a generalized program by orthant decomposition over the
@@ -210,8 +196,6 @@ def solve_gen_avlp(
     the full sweep gives.  With ``records=True`` nothing is pruned and
     every orthant's record is returned.
 
-    With ``minimize=True`` the objective is minimized instead; the
-    infeasible value is then ``+inf`` and the unbounded value ``-inf``.
     Raises ``SizeCapError`` when the variable count exceeds
     ``orthant_cap`` and ``InputError`` unless ``0 < tol <= 1e-3``.
     """
@@ -222,9 +206,8 @@ def solve_gen_avlp(
             f"orthant decomposition over {n} variables needs up to 2**{n} subproblems, "
             f"cap is {orthant_cap}"
         )
-    flip = -1.0 if minimize else 1.0
-    p = flip * program.linear_cost
-    q = flip * program.abs_cost
+    p = program.linear_cost
+    q = program.abs_cost
     G = program.linear_lhs
     H = program.abs_lhs
     conv, enum = _column_kinds(H, q)
@@ -257,7 +240,7 @@ def solve_gen_avlp(
     rays: dict[int, np.ndarray] = {}
 
     def scalar(i: int, G_i: np.ndarray, c_i: np.ndarray) -> None:
-        core = _solve_inequality(G_i, rhs, c_i, None, tol)
+        core = _solve_inequality(G_i, rhs, c_i, tol)
         values[i] = core.value
         if core.x is not None:
             points[i] = core.x[:n]
@@ -311,7 +294,7 @@ def solve_gen_avlp(
             OrthantRecord(
                 orthant=orthant(i),
                 status=status(i),
-                value=float(flip * values[i]),
+                value=float(values[i]),
                 optimizer=points[i] if status(i) is Status.OPTIMAL else None,
             )
             for i in range(len(values))
@@ -320,7 +303,7 @@ def solve_gen_avlp(
     if values[best] == -np.inf:
         return SolveOutcome(
             status=Status.INFEASIBLE,
-            value=-flip * np.inf,
+            value=-np.inf,
             optimizer=None,
             orthant=None,
             ray=None,
@@ -328,7 +311,7 @@ def solve_gen_avlp(
         )
     return SolveOutcome(
         status=status(best),
-        value=float(flip * values[best]),
+        value=float(values[best]),
         optimizer=points[best],
         orthant=orthant(best),
         ray=rays.get(best),
@@ -364,25 +347,6 @@ def from_realization(
     )
 
 
-def min_form(program: GenAvlpProgram) -> GenAvlpProgram:
-    """Convert a minimize-with->=-rows program to maximize-with-<= form.
-
-    Interpret the input container as ``min linear_cost @ x +
-    abs_cost @ |x|`` subject to ``linear_lhs @ x + abs_lhs @ |x| >=
-    rhs``.  Negating the objective and every row gives an equivalent
-    maximize form; the minimum sought equals minus the converted
-    program's maximum.  Applying the conversion twice returns the
-    original data.
-    """
-    return GenAvlpProgram(
-        linear_cost=-program.linear_cost,
-        abs_cost=-program.abs_cost,
-        linear_lhs=-program.linear_lhs,
-        abs_lhs=-program.abs_lhs,
-        rhs=-program.rhs,
-    )
-
-
 __all__ = [
     "DEFAULT_ORTHANT_CAP",
     "GenAvlpProgram",
@@ -390,5 +354,4 @@ __all__ = [
     "SolveOutcome",
     "solve_gen_avlp",
     "from_realization",
-    "min_form",
 ]

@@ -34,7 +34,7 @@ from .intervals import (
     _check_tolerances,
     sign_of,
 )
-from .linalg import hull_vertices_orthant, solve_square
+from .linalg import hull_vertices_orthant
 from .problem_io import _decode_document, parse_problem, problem_from_dict
 from .ranges import (
     AvlpProblem,
@@ -49,11 +49,13 @@ from .simplex import Status
 from .stability import (
     Basis,
     CertificateStatus,
+    GaveSystem,
     StabilityCertificate,
     _BEST_ACCEPTS,
     _WORST_ACCEPTS,
     _basis_rows,
     best_case_bstable,
+    solve_gave,
     verify_b_stability,
     worst_case_bstable,
 )
@@ -127,7 +129,8 @@ def _build_parser() -> _Parser:
                           help="1-based basic rows, e.g. '1,2'")
     vertices.add_argument("--signs",
                           help="orthant to search (default: sign of the "
-                          "midpoint basic solution)")
+                          "solution of the midpoint basic system "
+                          "A_B x - D_B |x| = b_B)")
 
     oracle = command("sample-oracle", "solve uniformly sampled realizations")
     oracle.add_argument("--samples", type=int, default=200)
@@ -347,7 +350,7 @@ def _cmd_worst(problem: AvlpProblem, args) -> dict:
     if args.bstable:
         basis, cert = _verified_certificate(problem, args, _WORST_ACCEPTS, "worst case")
         value, x_star, witness = worst_case_bstable(
-            problem, basis, cap=args.orthant_cap, tol=args.tol, certificate=cert
+            problem, basis, cap=args.orthant_cap, certificate=cert
         )
         return {
             "values": {"worst": _ext(value)},
@@ -399,7 +402,10 @@ def _cmd_vertices(problem: AvlpProblem, args) -> dict:
     if args.signs:
         s = _parse_sign_tokens(args.signs, problem.n)
     else:
-        s = sign_of(solve_square(problem.A.mid[rows], problem.b.mid[rows]))
+        s = sign_of(solve_gave(
+            GaveSystem(M=problem.A.mid[rows], F=-problem.D.mid[rows], g=problem.b.mid[rows]),
+            cap=args.orthant_cap,
+        ))
     s_arr = s.as_array()
     # basic system at fixed sign: the relief matrix folds into the
     # matrix, its own interval width widens the radius

@@ -25,11 +25,9 @@ The corner realizations of a whole problem are built from these by
 
 Sign conventions: the sign of zero is ``+1`` everywhere in this package.
 
-Membership of a point in the solution set of an interval linear system
-is decided by the Oettli-Prager inequality, and two classical sufficient
-regularity tests (spectral-radius and singular-value based) are provided
-for square interval matrices.  Both tests only ever answer "verified" or
-"unknown"; they never claim singularity.
+Two classical sufficient regularity tests (spectral-radius and
+singular-value based) are provided for square interval matrices.  Both
+only ever answer "verified" or "unknown"; they never claim singularity.
 """
 
 from __future__ import annotations
@@ -267,10 +265,6 @@ class SignVector:
         x = _as_float_array(x, 1, "point")
         return cls(tuple(1 if v >= 0 else -1 for v in x))
 
-    @classmethod
-    def ones(cls, n: int) -> "SignVector":
-        return cls((1,) * n)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -388,29 +382,6 @@ def rex_rohn_regular(matrix: IntervalMatrix) -> RegularityCheck:
         return RegularityCheck("rex-rohn", False, np.inf, "midpoint-singular")
     ratio = sigma_rad / float(sigma_mid[-1])
     return RegularityCheck("rex-rohn", ratio <= 1.0 - REGULARITY_MARGIN, ratio)
-
-
-def oettli_prager_member(
-    matrix: IntervalMatrix,
-    rhs: IntervalVector,
-    x,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Whether ``x`` solves ``M' x = b'`` for some member pair.
-
-    Uses the Oettli-Prager inequality
-    ``|mid(M) x - mid(b)| <= rad(M) |x| + rad(b)`` rowwise within an
-    absolute tolerance.
-    """
-    x = _as_float_array(x, 1, "point")
-    m, n = matrix.shape
-    if x.shape[0] != n:
-        raise DimensionError(f"point has length {x.shape[0]}, expected {n}")
-    if len(rhs) != m:
-        raise DimensionError(f"right side has length {len(rhs)}, expected {m}")
-    lhs = np.abs(matrix.mid @ x - rhs.mid)
-    bound = matrix.rad @ np.abs(x) + rhs.rad
-    return bool(np.all(lhs <= bound + tol))
 
 
 def interval_matvec(matrix: IntervalMatrix, x: IntervalVector) -> IntervalVector:

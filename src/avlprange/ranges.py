@@ -33,7 +33,7 @@ from .avlp import (
     solve_gen_avlp,
     SolveOutcome,
 )
-from .errors import AvlpRangeError, DimensionError, InputError, NumericalError
+from .errors import DimensionError, InputError, NumericalError, SingularMatrixError
 from .intervals import (
     DEFAULT_TOL,
     IntervalMatrix,
@@ -48,6 +48,12 @@ from .intervals import (
     sign_of,
 )
 from .simplex import Status, _solve_inequality
+
+#: Failures that ``full_range`` and ``worst_range`` record per field
+#: while the other components still run.  ``SizeCapError`` is not one:
+#: the cap counts all ``n`` variables, so it refuses every component
+#: alike and propagates.
+_COMPONENT_ERRORS = (InputError, SingularMatrixError, NumericalError)
 
 
 @dataclass(frozen=True)
@@ -324,7 +330,6 @@ def lower_tightness(
         np.vstack([corner.A - corner.D * s_arr[None, :], -np.diag(s_arr)]),
         np.concatenate([corner.b, np.zeros(problem.n)]),
         corner.c,
-        None,
         tol,
     )
     if restricted.status is not Status.OPTIMAL:
@@ -413,15 +418,15 @@ def full_range(
     The best case runs first, then ``worst_range``; the report equals
     the one the public analyses give when run one by one.  Component
     failures are caught and recorded per field; the other analyses
-    still run.  The mutual orderings of the produced values are checked
-    before returning.
+    still run.  A ``SizeCapError`` propagates.  The mutual orderings
+    of the produced values are checked before returning.
     """
     _check_tolerances(tol, max_iters)
     errors: dict[str, str] = {}
     best = best_witness = None
     try:
         best, best_witness = best_case(problem, tol=tol, orthant_cap=orthant_cap)
-    except AvlpRangeError as exc:
+    except _COMPONENT_ERRORS as exc:
         errors["best"] = str(exc)
     worst = worst_range(problem, tol=tol, max_iters=max_iters, orthant_cap=orthant_cap)
     report = replace(
@@ -443,8 +448,9 @@ def worst_range(
 
     The tightness certificate and the upper iteration share one memo
     of corner outcomes, so each distinct realization is solved once.
-    Component failures are recorded per field as in ``full_range``,
-    and the bracket's order is checked before returning.
+    Component failures are recorded per field and a ``SizeCapError``
+    propagates, as in ``full_range``; the bracket's order is checked
+    before returning.
     """
     _check_tolerances(tol, max_iters)
     errors: dict[str, str] = {}
@@ -477,7 +483,7 @@ def worst_range(
                 ):
                     lower_tight = True
                     break
-    except AvlpRangeError as exc:
+    except _COMPONENT_ERRORS as exc:
         errors["worst_lower"] = str(exc)
 
     worst_upper = upper_witness = None
@@ -491,7 +497,7 @@ def worst_range(
             # an infeasible realization pins the worst case at -inf,
             # which the lower bound then matches exactly
             lower_tight = True
-    except AvlpRangeError as exc:
+    except _COMPONENT_ERRORS as exc:
         errors["worst_upper"] = str(exc)
 
     report = RangeReport(

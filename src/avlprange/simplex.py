@@ -2,11 +2,10 @@
 variables.
 
 The primal shape solved here is ``maximize c @ x subject to G x <= g``
-(selected rows may be equalities) with no sign restriction on ``x``.
-Internally the standard-form dual ``minimize g @ y subject to
-G.T y = c, y >= 0`` is solved by a two-phase tableau simplex: phase one
-always starts from the all-artificial basis, and every dual basis is a
-set of rows of ``G``.  The primal solution is read off the optimal
+with no sign restriction on ``x``.  Internally the standard-form dual
+``min g @ y subject to G.T y = c, y >= 0`` is solved by a two-phase
+tableau simplex: phase one always starts from the all-artificial basis,
+and every dual basis is a set of rows of ``G``.  The primal solution is read off the optimal
 multipliers, so the reported basis is a row index set ``B`` with
 ``G[B]`` nonsingular, ``x = G[B]^-1 g[B]`` and ``G[B]^-T c >= 0`` --
 the same convention used by the basis-stability machinery.
@@ -15,8 +14,7 @@ Pivoting is deterministic: largest-coefficient entering rule with
 lowest-index tie breaks, switching to Bland's rule after a run of
 ``3 * (rows + cols)`` degenerate pivots, and an explicit failure beyond
 ``50 * (rows + cols)`` iterations.  Unbounded outcomes carry a
-certified ray ``d`` with ``G d <= 0`` (``= 0`` on equality rows) and
-``c @ d > 0``.
+certified ray ``d`` with ``G d <= 0`` and ``c @ d > 0``.
 
 ``_solve_inequality_batch`` pivots a stack of same-shape inequality
 LPs in lockstep with numpy, under the same rules applied per LP, so
@@ -56,15 +54,11 @@ class BasisOptimality(str, Enum):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """``maximize c @ x subject to G x <= g`` with free ``x``.
-
-    ``equalities`` optionally flags rows that must hold with equality.
-    """
+    """``maximize c @ x subject to G x <= g`` with free ``x``."""
 
     c: np.ndarray
     G: np.ndarray
     g: np.ndarray
-    equalities: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -80,15 +74,9 @@ class LpProblem:
             )
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(G)) and np.all(np.isfinite(g))):
             raise InputError("LpProblem data must be finite")
-        eq = self.equalities
-        if eq is not None:
-            eq = np.asarray(eq, dtype=bool)
-            if eq.shape != g.shape:
-                raise DimensionError("equalities mask must have one flag per row")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "equalities", eq)
 
     @property
     def m(self) -> int:
@@ -280,55 +268,32 @@ def _solve_inequality(
     G: np.ndarray,
     g: np.ndarray,
     c: np.ndarray,
-    equalities: np.ndarray | None,
     tol: float,
 ) -> LpOutcome:
-    """Internal fast path for ``max c @ x, G x <= g`` (rows flagged in
-    ``equalities`` hold with equality).  No input validation."""
-    m, n = G.shape
-    if equalities is not None and equalities.any():
-        col_blocks = [G.T, -G.T[:, equalities]]
-        dual = np.concatenate(col_blocks, axis=1)
-        cost = np.concatenate([g, -g[equalities]])
-        colrow = np.concatenate([np.arange(m), np.nonzero(equalities)[0]])
-        colsgn = np.concatenate([np.ones(m), -np.ones(int(equalities.sum()))])
-    else:
-        # columns map one-to-one onto rows; skip the scatter-adds below
-        dual = G.T
-        cost = g
-        colrow = None
-        colsgn = None
-
-    def to_rows(vec: np.ndarray) -> np.ndarray:
-        if colrow is None:
-            return vec
-        out = np.zeros(m)
-        np.add.at(out, colrow, vec * colsgn)
-        return out
-
-    res = _solve_standard(dual, c, cost, tol)
+    """Internal fast path for ``max c @ x, G x <= g``.  No input
+    validation."""
+    n = G.shape[1]
+    # the dual's columns are the rows of G, one to one
+    dual = G.T
+    res = _solve_standard(dual, c, g, tol)
     if res.status is Status.OPTIMAL:
         x = res.multipliers
-        y = to_rows(res.z)
-        if colrow is None:
-            rows = sorted(int(j) for j in res.basis)
-        else:
-            rows = sorted({int(colrow[j]) for j in res.basis})
+        rows = sorted(int(j) for j in res.basis)
         basis = tuple(rows) if (len(rows) == n and res.dropped == 0) else None
-        return LpOutcome(Status.OPTIMAL, float(c @ x), x=x, y=y, basis=basis)
+        return LpOutcome(Status.OPTIMAL, float(c @ x), x=x, y=res.z, basis=basis)
     if res.status is Status.UNBOUNDED:
         # dual unbounded below: the primal is infeasible
-        return LpOutcome(Status.INFEASIBLE, -np.inf, certificate=to_rows(res.ray))
+        return LpOutcome(Status.INFEASIBLE, -np.inf, certificate=res.ray)
 
     # dual infeasible: primal is unbounded if feasible, infeasible otherwise
     direction = res.farkas
-    feas = _solve_standard(dual, np.zeros(n), cost, tol)
+    feas = _solve_standard(dual, np.zeros(n), g, tol)
     if feas.status is Status.OPTIMAL:
         scale = float(np.max(np.abs(direction), initial=0.0))
         ray = direction / scale if scale > 0 else direction
         return LpOutcome(Status.UNBOUNDED, np.inf, x=feas.multipliers, ray=ray)
     if feas.status is Status.UNBOUNDED:
-        return LpOutcome(Status.INFEASIBLE, -np.inf, certificate=to_rows(feas.ray))
+        return LpOutcome(Status.INFEASIBLE, -np.inf, certificate=feas.ray)
     raise NumericalError("numerical-failure: feasibility probe returned an impossible status")
 
 
@@ -442,7 +407,7 @@ def _solve_inequality_batch(
     tol: float,
     incumbent: float | None = None,
 ) -> _BatchOutcome:
-    """``_solve_inequality(G_stack[b], g, c_stack[b], None, tol)`` for
+    """``_solve_inequality(G_stack[b], g, c_stack[b], tol)`` for
     every ``b``, pivoted in lockstep.
 
     Each LP follows the same two phases, pivot rules, Bland switch and
@@ -538,7 +503,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     ``0 < tol <= 1e-3``.
     """
     _check_tolerances(tol)
-    return _solve_inequality(problem.G, problem.g, problem.c, problem.equalities, tol)
+    return _solve_inequality(problem.G, problem.g, problem.c, tol)
 
 
 def _integer_rows(entries) -> tuple[int, ...]:

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .avlp import DEFAULT_ORTHANT_CAP, GenAvlpProgram, min_form, solve_gen_avlp
+from .avlp import DEFAULT_ORTHANT_CAP
 from .errors import (
     InputError,
     NumericalError,
@@ -91,9 +91,6 @@ class Basis:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows, dtype=int)
-
-    def complement(self, total_rows: int) -> np.ndarray:
-        return _complement(self.as_array(), total_rows)
 
 
 def _complement(rows: np.ndarray, total_rows: int) -> np.ndarray:
@@ -376,11 +373,7 @@ def _solves(M: np.ndarray, F: np.ndarray, g: np.ndarray, x: np.ndarray) -> bool:
     return residual <= 1e-8 * (1.0 + float(np.abs(g).max(initial=0.0)))
 
 
-def solve_gave(
-    system: GaveSystem,
-    cap: int = DEFAULT_ORTHANT_CAP,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def solve_gave(system: GaveSystem, cap: int = DEFAULT_ORTHANT_CAP) -> np.ndarray:
     """Solve ``M x + F |x| = g`` by sign iteration with a safety net.
 
     A sign vector ``s`` fixes ``|x| = diag(s) x`` and leaves a linear
@@ -393,12 +386,12 @@ def solve_gave(
     regular; when it is not, a warning is issued and the first
     sign-consistent solution is returned anyway.
     """
-    _check_tolerances(tol)
     M, F, g = system.M, system.F, system.g
     n = g.shape[0]
 
     envelope = IntervalMatrix(M - np.abs(F), M + np.abs(F))
-    if not _verified_regularity(envelope).verified:
+    unique = _verified_regularity(envelope).verified
+    if not unique:
         warnings.warn(
             "uniqueness of the absolute value system's solution was not "
             "verified; returning the first sign-consistent solution",
@@ -430,8 +423,8 @@ def solve_gave(
         if x is not None and _solves(M, F, g, x):
             return x
     raise NumericalError(
-        "no sign-consistent solution of the absolute value system was found; "
-        "this contradicts the verified uniqueness assumption"
+        "no sign-consistent solution of the absolute value system was found"
+        + ("; this contradicts its verified uniqueness" if unique else "")
     )
 
 
@@ -439,7 +432,6 @@ def worst_case_bstable(
     problem: AvlpProblem,
     basis,
     cap: int = DEFAULT_ORTHANT_CAP,
-    tol: float = DEFAULT_TOL,
     certificate: StabilityCertificate | None = None,
 ) -> tuple[float, np.ndarray, Realization]:
     """Exact worst case under nondegenerate basis stability.
@@ -458,7 +450,6 @@ def worst_case_bstable(
     residual meets the contract of ``solve_gave``.  Otherwise, or when
     that check fails, ``solve_gave`` runs.
     """
-    _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
     _warn_unverified(certificate, "nondegenerate basis stability", _WORST_ACCEPTS)
 
@@ -473,69 +464,12 @@ def worst_case_bstable(
         if x is not None and (signs * x >= 0.0).all() and _solves(M, F, g, x):
             x_star = x
     if x_star is None:
-        x_star = solve_gave(GaveSystem(M=M, F=F, g=g), cap=cap, tol=tol)
+        x_star = solve_gave(GaveSystem(M=M, F=F, g=g), cap=cap)
     value = float(problem.c.mid @ x_star - problem.c.rad @ np.abs(x_star))
 
     A, b, c, D = problem._worst_corner_arrays(sign_of(x_star))
     mid[rows] = A[rows]
     return value, x_star, Realization(A=mid, b=b, c=c, D=D)
-
-
-@dataclass(frozen=True)
-class CharacterizationValues:
-    """Four reformulations of the worst case over the basic rows.
-
-    All four use the objective ``mid(c) @ x - rad(c) @ |x|`` and the
-    row map ``mid(A)_B x + (rad(A) - inf(D))_B |x|`` against
-    ``inf(b)_B``: minimized where the rows are held at least at the
-    bound, maximized where they are held at most at it, and both
-    optima on the boundary where they hold with equality.  Under
-    nondegenerate stability all four coincide with the worst case
-    value.
-    """
-
-    min_at_least: float
-    max_at_most: float
-    max_at_equality: float
-    min_at_equality: float
-
-
-def bstable_characterizations(
-    problem: AvlpProblem,
-    basis,
-    cap: int = DEFAULT_ORTHANT_CAP,
-    tol: float = DEFAULT_TOL,
-) -> CharacterizationValues:
-    """Solve all four basic-row programs and report their values."""
-    _check_tolerances(tol)
-    rows = _basis_rows(basis, problem)
-    lhs = problem.A.mid[rows]
-    relief = (problem.A.rad - problem.D.inf)[rows]
-    bound = problem.b.inf[rows]
-    p = problem.c.mid
-    q = -problem.c.rad
-
-    over = GenAvlpProgram(p, q, lhs, relief, bound)
-    min_at_least = -solve_gen_avlp(min_form(over), tol=tol, orthant_cap=cap).value
-    max_at_most = solve_gen_avlp(over, tol=tol, orthant_cap=cap).value
-
-    boundary = GenAvlpProgram(
-        p,
-        q,
-        np.vstack([lhs, -lhs]),
-        np.vstack([relief, -relief]),
-        np.concatenate([bound, -bound]),
-    )
-    max_at_equality = solve_gen_avlp(boundary, tol=tol, orthant_cap=cap).value
-    min_at_equality = solve_gen_avlp(
-        boundary, tol=tol, orthant_cap=cap, minimize=True
-    ).value
-    return CharacterizationValues(
-        min_at_least=min_at_least,
-        max_at_most=max_at_most,
-        max_at_equality=max_at_equality,
-        min_at_equality=min_at_equality,
-    )
 
 
 __all__ = [
@@ -548,6 +482,4 @@ __all__ = [
     "best_case_bstable",
     "solve_gave",
     "worst_case_bstable",
-    "CharacterizationValues",
-    "bstable_characterizations",
 ]

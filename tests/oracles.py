@@ -80,6 +80,37 @@ def avlp_oracle(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs, box=BOX):
     return status, best
 
 
+def bstable_characterizations(problem, rows):
+    """Four reformulations of the worst case over the basic ``rows``.
+
+    All four use the objective ``mid(c) @ x - rad(c) @ |x|`` and the
+    row map ``mid(A)_B x + (rad(A) - inf(D))_B |x|`` against
+    ``inf(b)_B``.  Returns ``(min_at_least, max_at_most,
+    max_at_equality, min_at_equality)``: minimized where the rows are
+    held at least at the bound, maximized where they are held at most
+    at it, and both optima where they hold with equality.  Under
+    nondegenerate stability all four equal the worst case value.  Each
+    is one ``avlp_oracle`` solve; a minimum is minus the maximum of
+    the negated objective.
+    """
+    rows = np.asarray(rows)
+    lhs = problem.A.mid[rows]
+    relief = (problem.A.rad - problem.D.inf)[rows]
+    bound = problem.b.inf[rows]
+    p, q = problem.c.mid, -problem.c.rad
+
+    def maximum(sign, lin_lhs, abs_lhs, rhs):
+        return sign * avlp_oracle(sign * p, sign * q, lin_lhs, abs_lhs, rhs)[1]
+
+    both = (np.vstack([lhs, -lhs]), np.vstack([relief, -relief]), np.concatenate([bound, -bound]))
+    return (
+        maximum(-1.0, -lhs, -relief, -bound),
+        maximum(1.0, lhs, relief, bound),
+        maximum(1.0, *both),
+        maximum(-1.0, *both),
+    )
+
+
 def corner_determinant_range(mid, rad):
     """Exact determinant range of an interval matrix.
 

@@ -10,7 +10,6 @@ from avlprange import (
     Status,
     all_sign_vectors,
     from_realization,
-    min_form,
     solve_gen_avlp,
 )
 from avlprange import avlp, simplex
@@ -42,7 +41,6 @@ def test_nominal_two_variable_instance():
     assert out.value == pytest.approx(21.0, abs=1e-9)
     assert np.allclose(out.optimizer, [3.0, 9.0], atol=1e-7)
     assert out.orthant.entries == (1, 1)
-    assert out.active_rows(prog) == (0, 1)
 
 
 def test_records_cover_all_orthants_in_order():
@@ -100,44 +98,19 @@ def test_infeasible_only_when_every_orthant_is():
 
 
 @pytest.mark.parametrize("records", [False, True])
-@pytest.mark.parametrize("minimize", [False, True])
-def test_values_are_python_floats(minimize, records):
+@pytest.mark.parametrize("negate", [False, True])
+def test_values_are_python_floats(negate, records):
     box = ([[1.0], [-1.0]], [[0.0], [0.0]])
+    flip = -1.0 if negate else 1.0
     programs = [
-        _program([0.0], [1.0], *box, [1.0, 1.0]),  # two orthants
-        _program([1.0], [0.0], [[-1.0]], [[0.0]], [1.0]),  # unbounded one way
+        _program([0.0], [flip], *box, [1.0, 1.0]),  # two orthants
+        _program([flip], [0.0], [[-1.0]], [[0.0]], [1.0]),  # unbounded one way
         _program([0.0], [0.0], *box, [-1.0, -1.0]),  # infeasible
     ]
     for prog in programs:
-        out = solve_gen_avlp(prog, minimize=minimize, records=records)
+        out = solve_gen_avlp(prog, records=records)
         assert type(out.value) is float
         assert all(type(r.value) is float for r in out.records)
-
-
-def test_minimize_flag():
-    # x in [0, 1]: minimum 0, maximum 1
-    prog = _program([1.0], [0.0], [[1.0], [-1.0]], [[0.0], [0.0]], [1.0, 0.0])
-    assert solve_gen_avlp(prog).value == pytest.approx(1.0, abs=1e-12)
-    assert solve_gen_avlp(prog, minimize=True).value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_minimize_unbounded_below():
-    prog = _program([1.0], [0.0], [[1.0]], [[0.0]], [1.0])
-    out = solve_gen_avlp(prog, minimize=True)
-    assert out.status is Status.UNBOUNDED
-    assert out.value == -np.inf
-
-
-def test_min_form_roundtrip_and_value():
-    # smallest x with x >= 1, written in the >=-row container
-    prog = _program([1.0], [0.0], [[1.0]], [[0.0]], [1.0])
-    converted = min_form(prog)
-    out = solve_gen_avlp(converted)
-    assert -out.value == pytest.approx(1.0, abs=1e-12)
-    twice = min_form(converted)
-    assert np.array_equal(twice.linear_cost, prog.linear_cost)
-    assert np.array_equal(twice.linear_lhs, prog.linear_lhs)
-    assert np.array_equal(twice.rhs, prog.rhs)
 
 
 def test_size_cap():
@@ -159,13 +132,6 @@ def test_relief_must_be_nonnegative():
 def test_shape_mismatch_rejected():
     with pytest.raises(DimensionError):
         _program([1.0, 2.0], [0.0, 0.0], [[1.0]], [[0.0]], [1.0])
-
-
-def test_active_rows_requires_an_optimizer():
-    prog = _program([1.0], [0.0], [[-1.0]], [[0.0]], [1.0])
-    out = solve_gen_avlp(prog)
-    with pytest.raises(InputError):
-        out.active_rows(prog)
 
 
 def test_agrees_with_boxed_orthant_oracle():
@@ -242,8 +208,9 @@ def test_mixed_columns_agree_with_oracle():
     # optimization; only the nonconvex ones may be enumerated
     rng = np.random.default_rng(43)
     for trial in range(80):
-        minimize = trial % 2 == 1
-        convex_cost = 1.0 if minimize else -1.0
+        # odd trials draw a minimization and maximize its negated costs
+        flip = -1.0 if trial % 2 == 1 else 1.0
+        convex_cost = -flip
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
         kinds = rng.choice(["absent", "convex", "nonconvex"], n)
@@ -268,16 +235,15 @@ def test_mixed_columns_agree_with_oracle():
                 abs_lhs[int(rng.integers(rows)), j] = -rng.uniform(0.1, 0.9)
                 abs_cost[j] = convex_cost * rng.uniform(0, 1)
         lin_cost = rng.uniform(-2, 2, n)
-        prog = _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
-        out = solve_gen_avlp(prog, minimize=minimize, records=True)
+        prog = _program(flip * lin_cost, flip * abs_cost, lin_lhs, abs_lhs, rhs)
+        out = solve_gen_avlp(prog, records=True)
         # the default sweep prunes, and must give the same outcome
-        _assert_same_outcome(solve_gen_avlp(prog, minimize=minimize), out)
+        _assert_same_outcome(solve_gen_avlp(prog), out)
 
-        flip = -1.0 if minimize else 1.0
-        status, value = avlp_oracle(flip * lin_cost, flip * abs_cost, lin_lhs, abs_lhs, rhs)
+        status, value = avlp_oracle(prog.linear_cost, prog.abs_cost, lin_lhs, abs_lhs, rhs)
         assert out.status.value == status
         if status == "optimal":
-            assert abs(out.value - flip * value) <= 1e-7 * (1.0 + abs(value))
+            assert abs(out.value - value) <= 1e-7 * (1.0 + abs(value))
 
         enum = kinds == "nonconvex"
         assert len(out.records) == 2 ** enum.sum()
@@ -358,7 +324,7 @@ def _batch_against_scalar(G_stack, g, c_stack):
     assert len(out.code) == len(G_stack)
     for i, (G, c) in enumerate(zip(G_stack, c_stack)):
         if out.code[i] != simplex._HANDED_BACK:
-            _assert_same_core(out, i, _solve_inequality(G, g, c, None, 1e-9))
+            _assert_same_core(out, i, _solve_inequality(G, g, c, 1e-9))
     return out
 
 
@@ -416,7 +382,7 @@ def test_batch_kernel_takes_the_bland_switch(monkeypatch):
     pivots = []
     real_pivot = simplex._pivot
     monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
-    ref = _solve_inequality(dual.T.copy(), g, c, None, 1e-9)
+    ref = _solve_inequality(dual.T.copy(), g, c, 1e-9)
     assert len(pivots) > 3 * (3 + 7)
     assert ref.status is Status.OPTIMAL and ref.value == pytest.approx(-1.0)
     # stacked with copies whose first dual row is scaled

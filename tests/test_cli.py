@@ -207,6 +207,23 @@ def test_vertices_command(capsys, fixtures_dir):
         assert got == pytest.approx(expect, abs=1e-3)
 
 
+def test_vertices_default_orthant_accounts_for_relief(capsys, tmp_path):
+    # A_B x = b_B solves to (-1, 1), but the relief D_B moves the
+    # midpoint basic system's solution to (2, 1)
+    document = {
+        "A": {"mid": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "rad": [[0.0, 0.0]] * 3},
+        "b": {"mid": [-1.0, 1.0, 10.0], "rad": [0.0] * 3},
+        "c": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
+        "D": {"mid": [[0.0, 3.0], [0.0, 0.0], [0.0, 0.0]], "rad": [[0.0, 0.0]] * 3},
+    }
+    path = tmp_path / "relief.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, report, err = run_json(capsys, "vertices", str(path), "--basis", "1,2")
+    assert code == 0, err
+    assert report["values"]["sign"] == [1, 1]
+    assert report["witnesses"]["vertices"] == [pytest.approx([2.0, 1.0], abs=1e-12)]
+
+
 def test_sample_oracle_stays_inside_the_range(capsys, fixtures_dir):
     code, report, _ = run_json(
         capsys,
@@ -299,9 +316,12 @@ def test_size_cap_exits_4(capsys, tmp_path):
     }
     path = tmp_path / "wide_n.json"
     path.write_text(json.dumps(document), encoding="utf-8")
-    code, _, err = run(capsys, "solve", str(path))
-    assert code == 4
-    assert "size limit" in err
+    # the cap counts all n variables, so range and worst refuse as a
+    # whole rather than report every value as an error
+    for command in ("solve", "best", "range", "worst"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 4, command
+        assert "size limit" in err
 
 
 def test_reports_are_deterministic(capsys, fixtures_dir):

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 
 from avlprange import (
     AvlpProblem,
-    GaveSystem,
     GenAvlpProgram,
     InputError,
     IntervalMatrix,
     IntervalVector,
     LpProblem,
     SignVector,
+    SizeCapError,
     Status,
     all_sign_vectors,
     best_case,
     best_case_bstable,
-    bstable_characterizations,
     check_basis_optimal,
     full_range,
     lower_tightness,
@@ -28,11 +27,9 @@ from avlprange import (
     relaxed_interval_lp,
     sample_realization,
     sign_of,
-    solve_gave,
     solve_gen_avlp,
     solve_lp,
     verify_b_stability,
-    worst_case_bstable,
     worst_lower_bound,
     worst_upper_bound,
 )
@@ -344,10 +341,6 @@ _TOL_ENTRY_POINTS = [
     ("full_range", lambda p, tol: full_range(p, tol=tol)),
     ("verify_b_stability", lambda p, tol: verify_b_stability(p, (0, 1), tol=tol)),
     ("best_case_bstable", lambda p, tol: best_case_bstable(p, (0, 1), tol=tol)),
-    ("worst_case_bstable", lambda p, tol: worst_case_bstable(p, (0, 1), tol=tol)),
-    ("bstable_characterizations", lambda p, tol: bstable_characterizations(p, (0, 1), tol=tol)),
-    ("solve_gave", lambda p, tol: solve_gave(GaveSystem(np.eye(2), np.zeros((2, 2)), np.ones(2)),
-                                             tol=tol)),
     ("check_basis_optimal", lambda p, tol: check_basis_optimal(np.eye(2), np.ones(2), np.ones(2),
                                                                (0, 1), tol=tol)),
 ]
@@ -360,6 +353,13 @@ def test_entry_points_reject_out_of_range_tol(example1, name, call, tol):
     # bound of example1 tight) or fails every analysis (nan)
     with pytest.raises(InputError, match="tol must be"):
         call(example1, tol)
+
+
+@pytest.mark.parametrize("entry", [full_range, ranges.worst_range])
+def test_size_cap_propagates_from_the_aggregates(example1, entry):
+    # the cap counts all n variables, so every component would fail
+    with pytest.raises(SizeCapError):
+        entry(example1, orthant_cap=1)
 
 
 @pytest.mark.parametrize("entry", [worst_upper_bound, full_range])
@@ -557,9 +557,11 @@ def test_corner_optimizer_with_a_zero_entry_certifies_without_an_lp(monkeypatch)
     data=st.data(),
 )
 def test_row_permutation_leaves_the_exact_optima_unchanged(seed, stable, data):
-    # best and worst_lower are optima of their programs, so the order
-    # of the rows cannot change them; worst_upper and lower_tight
-    # follow the pivot path and are not compared
+    # best and worst_lower are optima of their programs, so neither the
+    # order of the rows nor the substitution x_j -> -x_j on some columns
+    # (A[:, j] and c_j reflected, |x_j| and so D unchanged) can change
+    # them; worst_upper and lower_tight follow the pivot path and are
+    # not compared
     rng = np.random.default_rng(seed)
     problem = random_stable_problem(rng)[0] if stable else random_box_bounded_problem(rng)
     order = np.array(data.draw(st.permutations(range(problem.m))))
@@ -569,8 +571,22 @@ def test_row_permutation_leaves_the_exact_optima_unchanged(seed, stable, data):
         c=problem.c,
         D=problem.D.take_rows(order),
     )
-    report, shuffled = full_range(problem), full_range(permuted)
-    for key in ("best", "worst_lower"):
-        want, got = getattr(report, key), getattr(shuffled, key)
-        assert want is not None and got is not None
-        assert got == want or abs(got - want) <= 1e-9 * (1.0 + abs(want)), key
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=problem.n, max_size=problem.n)))
+    reflected = AvlpProblem(
+        A=IntervalMatrix(
+            np.where(flip, -problem.A.sup, problem.A.inf),
+            np.where(flip, -problem.A.inf, problem.A.sup),
+        ),
+        b=problem.b,
+        c=IntervalVector(
+            np.where(flip, -problem.c.sup, problem.c.inf),
+            np.where(flip, -problem.c.inf, problem.c.sup),
+        ),
+        D=problem.D,
+    )
+    report = full_range(problem)
+    for other in (full_range(permuted), full_range(reflected)):
+        for key in ("best", "worst_lower"):
+            want, got = getattr(report, key), getattr(other, key)
+            assert want is not None and got is not None
+            assert got == want or abs(got - want) <= 1e-9 * (1.0 + abs(want)), key

@@ -63,33 +63,6 @@ def test_infeasible_gives_farkas_certificate():
     assert float(cert @ g) < -1e-9
 
 
-def test_equality_row_pins_the_optimum():
-    out = solve_lp(
-        LpProblem(
-            c=[1.0, 1.0],
-            G=[[1.0, 1.0], [1.0, 0.0]],
-            g=[1.0, 0.7],
-            equalities=np.array([True, False]),
-        )
-    )
-    assert out.status is Status.OPTIMAL
-    assert out.value == pytest.approx(1.0, abs=1e-9)
-    assert out.x[0] + out.x[1] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_conflicting_equalities_are_infeasible():
-    out = solve_lp(
-        LpProblem(
-            c=[0.0, 0.0],
-            G=[[1.0, 1.0], [1.0, 1.0]],
-            g=[1.0, 0.5],
-            equalities=np.array([True, True]),
-        )
-    )
-    assert out.status is Status.INFEASIBLE
-    assert out.certificate is not None
-
-
 def test_degenerate_vertex_still_optimal():
     # three rows meet at (1, 1)
     out = solve_lp(
