@@ -60,8 +60,10 @@ from .simplex import _HANDED_BACK, Status, _solve_inequality, _solve_inequality_
 
 DEFAULT_ORTHANT_CAP = 16
 
-#: Tableau bytes of one lockstep chunk of orthant LPs; bounds the
-#: sweep's working memory whatever the number of orthants.
+#: Tableau bytes of one lockstep chunk of orthant LPs.  The sweep's
+#: working set, whatever the number of orthants, is that chunk's stack
+#: of tableaux, one scratch buffer of the same size and, once some
+#: tableaux finish, a compacted copy of those still pivoting.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -257,12 +259,19 @@ def solve_gen_avlp(
         rows, cols = lhs.shape
         chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
         incumbent = None if records else -np.inf
+        # enumerated column t of G + H diag(s), as a row: G - H where
+        # s_t = -1 (bit 0) and G + H where s_t = +1 (bit 1), bit for bit
+        choices = np.stack([(G - H)[:, enum].T, (G + H)[:, enum].T])
         for start in range(0, 2**k, chunk):
             stop = min(start + chunk, 2**k)
-            signs = np.where((np.arange(start, stop)[:, None] >> shifts) & 1, 1.0, -1.0)
-            lhs_stack = np.broadcast_to(lhs, (stop - start, rows, cols)).copy()
-            lhs_stack[:, :m, enum] = G[:, enum] + H[:, enum] * signs[:, None, :]
-            lhs_stack[:, m + np.arange(k), enum] = -signs
+            bits = (np.arange(start, stop)[:, None] >> shifts) & 1
+            signs = np.where(bits, 1.0, -1.0)
+            # built as (orthant, column, row), the layout the dual
+            # tableaux read, and passed as its (orthant, row, column) view
+            lhs_stack = np.broadcast_to(lhs.T, (stop - start, cols, rows)).copy()
+            lhs_stack[:, enum, :m] = choices[bits, np.arange(k)]
+            lhs_stack[:, enum, m + np.arange(k)] = -signs
+            lhs_stack = lhs_stack.transpose(0, 2, 1)
             cost_stack = np.broadcast_to(cost, (stop - start, cols)).copy()
             cost_stack[:, enum] = p[enum] + q[enum] * signs
             batch = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -399,13 +400,20 @@ def _cmd_stability(problem: AvlpProblem, args) -> dict:
 def _cmd_vertices(problem: AvlpProblem, args) -> dict:
     basis = _require_basis(args, problem)
     rows = basis.as_array()
+    logs = {}
     if args.signs:
         s = _parse_sign_tokens(args.signs, problem.n)
     else:
-        s = sign_of(solve_gave(
-            GaveSystem(M=problem.A.mid[rows], F=-problem.D.mid[rows], g=problem.b.mid[rows]),
-            cap=args.orthant_cap,
-        ))
+        # a warning that the solution may not be unique goes into the
+        # report; when no solution follows, only the error is printed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = sign_of(solve_gave(
+                GaveSystem(M=problem.A.mid[rows], F=-problem.D.mid[rows], g=problem.b.mid[rows]),
+                cap=args.orthant_cap,
+            ))
+        if caught:
+            logs["default_orthant"] = "; ".join(str(w.message) for w in caught)
     s_arr = s.as_array()
     # basic system at fixed sign: the relief matrix folds into the
     # matrix, its own interval width widens the radius
@@ -414,10 +422,13 @@ def _cmd_vertices(problem: AvlpProblem, args) -> dict:
         problem.A.rad[rows] + problem.D.rad[rows],
     )
     points = hull_vertices_orthant(system, problem.b.mid[rows], s, tol=args.tol)
-    return {
+    report = {
         "values": {"count": len(points), "sign": list(s.entries)},
         "witnesses": {"vertices": [p.tolist() for p in points]},
     }
+    if logs:
+        report["logs"] = logs
+    return report
 
 
 def _cmd_sample_oracle(problem: AvlpProblem, args) -> dict:

@@ -18,7 +18,10 @@ certified ray ``d`` with ``G d <= 0`` and ``c @ d > 0``.
 
 ``_solve_inequality_batch`` pivots a stack of same-shape inequality
 LPs in lockstep with numpy, under the same rules applied per LP, so
-each outcome equals the scalar one bit for bit.  It settles the common
+each outcome equals the scalar one bit for bit (a zero entry of an
+infeasibility certificate aside, whose sign may differ).  It builds the
+stack of tableaux once and runs both phases on it in place, with one
+scratch buffer for the pivots' rank-one updates.  It settles the common
 cases (optimal, and infeasible with the certificate read from phase
 two), returns them as stacked arrays, and hands the rare ones back to
 the scalar kernel.  On request it prunes, in phase two, the LPs whose
@@ -273,8 +276,10 @@ def _solve_inequality(
     """Internal fast path for ``max c @ x, G x <= g``.  No input
     validation."""
     n = G.shape[1]
-    # the dual's columns are the rows of G, one to one
-    dual = G.T
+    # the dual's columns are the rows of G, one to one; C order for G
+    # makes the dual's rows contiguous, so the phase-one column sums
+    # take the same order whatever the layout G comes in
+    dual = np.ascontiguousarray(G).T
     res = _solve_standard(dual, c, g, tol)
     if res.status is Status.OPTIMAL:
         x = res.multipliers
@@ -305,6 +310,7 @@ def _run_phase_batch(
     limit: int,
     bland_after: int,
     incumbent: float | None = None,
+    live: np.ndarray | None = None,
 ) -> np.ndarray:
     """``run_phase`` of ``_solve_standard`` on a stack of tableaux.
 
@@ -313,7 +319,17 @@ def _run_phase_batch(
     tableau ``-1`` when it reached the phase's optimum, the entering
     column when it found no pivot row, ``-2`` on the iteration limit
     and ``-3`` when pruned.  ``T`` and ``basis`` are updated in place,
-    except for pruned tableaux, which are left mid-phase.
+    except for pruned tableaux, which are left mid-phase.  ``live``
+    names the tableaux to run (default all); the others are left as
+    they are and get ``-2``.
+
+    The stack is pivoted in place until the first tableau leaves the
+    working set; from then on the working set is a compacted copy, and
+    each finished tableau is written back.  One scratch buffer the
+    size of the working set holds each step's rank-one update.  It is
+    formed by ``np.einsum``, which writes +0.0 where ``_pivot``'s
+    product is -0.0; so a zero entry may end with the other sign than
+    in the scalar kernel, and no other bit differs.
 
     Pruning is for phase two only, and only when ``incumbent`` is given.
     There every tableau is dual feasible, so its objective
@@ -327,9 +343,13 @@ def _run_phase_batch(
     k = basis.shape[1]
     width = T.shape[2] - 1
     outcome = np.full(len(T), -2)
-    live = np.arange(len(T))
-    Tw, bw = T, basis
-    degenerate = np.zeros(len(T), dtype=int)
+    if live is None or live.size == len(T):
+        live = np.arange(len(T))
+        Tw, bw = T, basis
+    else:
+        Tw, bw = T[live], basis[live]
+    scratch = np.empty_like(Tw)
+    degenerate = np.zeros(len(live), dtype=int)
     for _ in range(limit if live.size else 0):
         at = np.arange(len(live))
         rc = Tw[:, k, :ncols]
@@ -354,8 +374,9 @@ def _run_phase_batch(
         if dropped.any():
             outcome[live[optimal]] = -1
             outcome[live[no_row]] = j[no_row]
-            T[live[finished]] = Tw[finished]
-            basis[live[finished]] = bw[finished]
+            if Tw is not T:
+                T[live[finished]] = Tw[finished]
+                basis[live[finished]] = bw[finished]
             keep = ~dropped
             live, Tw, bw, degenerate = live[keep], Tw[keep], bw[keep], degenerate[keep]
             if not live.size:
@@ -366,11 +387,14 @@ def _run_phase_batch(
         ties = eligible & (ratio <= cutoff[:, None])
         r = np.argmin(np.where(ties, bw, width), axis=1)
         degenerate = np.where(theta <= tol, degenerate + 1, 0)
-        # _pivot on every live tableau
-        Tw[at, r] /= Tw[at, r, j][:, None]
+        # _pivot on every live tableau, in its order; np.einsum forms
+        # the rank-one update faster than a broadcast multiply
+        prow = Tw[at, r]
+        prow /= prow[at, j][:, None]
+        Tw[at, r] = prow
         colvals = Tw[at, :, j]
         colvals[at, r] = 0.0
-        Tw -= colvals[:, :, None] * Tw[at, r][:, None, :]
+        Tw -= np.einsum("bi,bj->bij", colvals, prow, out=scratch[: live.size])
         Tw[at, :, j] = 0.0
         Tw[at, r, j] = 1.0
         bw[at, r] = j
@@ -412,7 +436,10 @@ def _solve_inequality_batch(
 
     Each LP follows the same two phases, pivot rules, Bland switch and
     iteration limit as ``_solve_standard``, per LP, so every optimal or
-    infeasible outcome equals the scalar one bit for bit.  An LP that
+    infeasible outcome equals the scalar one bit for bit, whatever the
+    memory layout of ``G_stack``; only a zero entry of ``certificate``
+    may carry the other sign (see ``_run_phase_batch``).  The stack is
+    built once and both phases pivot it in place.  An LP that
     needs one of the scalar kernel's rare branches is handed back
     (``_HANDED_BACK``): phase one without a pivot row (the drift
     repair), an infeasible phase one (the feasibility probe), a
@@ -428,14 +455,17 @@ def _solve_inequality_batch(
     B, m, n = G_stack.shape
     # the standard-form dual of each LP: n rows, m columns, rhs c_b
     sign = np.where(c_stack < 0, -1.0, 1.0)
-    a1 = G_stack.transpose(0, 2, 1) * sign[:, :, None]
     b1 = c_stack * sign
     width = m + n
     T = np.zeros((B, n + 1, width + 1))
-    T[:, :n, :m] = a1
+    a1 = T[:, :n, :m]
+    np.multiply(G_stack.transpose(0, 2, 1), sign[:, :, None], out=a1)
     T[:, np.arange(n), m + np.arange(n)] = 1.0
     T[:, :n, -1] = b1
-    T[:, n, :m] = -a1.sum(axis=1)
+    # numpy sums a contiguous axis pairwise and a strided one row by
+    # row; the scalar kernel sums its dual's rows along a contiguous
+    # axis, so these sums do too
+    T[:, n, :m] = -np.ascontiguousarray(a1.transpose(0, 2, 1)).sum(axis=2)
     T[:, n, -1] = -b1.sum(axis=1)
     basis = np.broadcast_to(np.arange(m, width), (B, n)).copy()
     limit = 50 * (n + m) + 20
@@ -444,15 +474,14 @@ def _solve_inequality_batch(
     phase_one = _run_phase_batch(T, basis, m, tol, limit, bland_after)
     feas_tol = 1e-7 * (1.0 + np.max(np.abs(b1), axis=1))
     ok = (phase_one == -1) & (-T[:, n, -1] <= feas_tol) & np.all(basis < m, axis=1)
+    # phase two runs on the same stack; the handed-back LPs sit it out
     (go,) = np.nonzero(ok)
-    T2 = T[go]
-    basis2 = basis[go]
+    at = slice(None) if go.size == B else go
     # phase two's cost row, g minus the basic costs times the rows
-    costrow = np.zeros((len(go), width + 1))
-    costrow[:, :m] = g
-    costrow -= np.matmul(g[basis2][:, None, :], T2[:, :n])[:, 0]
-    T2[:, n] = costrow
-    phase_two = _run_phase_batch(T2, basis2, m, tol, limit, bland_after, incumbent)
+    costrow = np.zeros(width + 1)
+    costrow[:m] = g
+    T[at, n] = costrow - np.matmul(g[basis[at]][:, None, :], T[at, :n])[:, 0]
+    phase_two = _run_phase_batch(T, basis, m, tol, limit, bland_after, incumbent, go)
 
     out = _BatchOutcome(
         code=np.full(B, _HANDED_BACK),
@@ -462,32 +491,29 @@ def _solve_inequality_batch(
         rows=np.full((B, n), -1),
         certificate=np.full((B, m), np.nan),
     )
-    opt = phase_two == -1
-    b = go[opt]
-    T_opt = T2[opt]
-    x = sign[b] * -T_opt[:, n, m:width]
+    (b,) = np.nonzero(phase_two == -1)
+    x = sign[b] * -T[b, n, m:width]
     z = np.zeros((len(b), m))
-    np.put_along_axis(z, basis2[opt], T_opt[:, :n, -1], axis=1)
+    np.put_along_axis(z, basis[b], T[b, :n, -1], axis=1)
     small = np.abs(z) < 1e2 * tol
     z[small] = np.maximum(z[small], 0.0)
     out.code[b] = _OPTIMAL
     out.value[b] = np.matmul(c_stack[b][:, None, :], x[:, :, None])[:, 0, 0]
     out.x[b] = x
     out.y[b] = z
-    out.rows[b] = np.sort(basis2[opt], axis=1)
+    out.rows[b] = np.sort(basis[b], axis=1)
 
     # dual unbounded below: the primal is infeasible
-    infeasible = phase_two >= 0
-    b = go[infeasible]
-    j = phase_two[infeasible]
+    (b,) = np.nonzero(phase_two >= 0)
+    j = phase_two[b]
     ray = np.zeros((len(b), m))
-    np.put_along_axis(ray, basis2[infeasible], -T2[np.flatnonzero(infeasible), :n, j], axis=1)
+    np.put_along_axis(ray, basis[b], -T[b, :n, j], axis=1)
     ray[np.arange(len(b)), j] = 1.0
     out.code[b] = _INFEASIBLE
     out.value[b] = -np.inf
     out.certificate[b] = ray
 
-    b = go[phase_two == -3]
+    (b,) = np.nonzero(phase_two == -3)
     out.code[b] = _PRUNED
     out.value[b] = -np.inf
     return out

@@ -293,16 +293,80 @@ def test_pruning_keeps_the_first_of_tied_orthants_across_chunks(monkeypatch):
     assert [r.value for r in full.records] == [2.0, 4.0] * 4
 
 
+def test_chunking_never_changes_the_sweep(monkeypatch):
+    # programs with 3 to 6 enumerated columns, swept one orthant LP per
+    # chunk, three per chunk and at the default chunk size: phase two
+    # runs on chunks with and without LPs handed back by phase one, and
+    # the incumbent is carried across chunks
+    rng = np.random.default_rng(45)
+    sizes = []
+    real_batch = avlp._solve_inequality_batch
+
+    def batch(G_stack, *args):
+        sizes.append(len(G_stack))
+        return real_batch(G_stack, *args)
+
+    monkeypatch.setattr(avlp, "_solve_inequality_batch", batch)
+    default = avlp._CHUNK_BYTES
+    for trial in range(40):
+        k = int(rng.integers(3, 7))
+        kinds = rng.permutation(["nonconvex"] * k + ["convex", "absent"][: int(rng.integers(0, 3))])
+        n = len(kinds)
+        m = int(rng.integers(1, 4))
+        if trial % 2:
+            # small integers and halves: exact optima, so orthants tie
+            lin_lhs = rng.integers(-2, 3, (m, n)).astype(float)
+            rhs = rng.integers(-1, 4, m).astype(float)
+        else:
+            lin_lhs = rng.uniform(-3, 3, (m, n))
+            rhs = rng.uniform(-1, 4, m)
+        if trial % 4 < 2:
+            # box rows keep most programs bounded; without them some
+            # orthants are unbounded and phase one hands them back
+            lin_lhs = np.vstack([lin_lhs, np.eye(n), -np.eye(n)])
+            rhs = np.concatenate([rhs, np.ones(2 * n)])
+        rows = lin_lhs.shape[0]
+        abs_lhs = np.zeros((rows, n))
+        abs_cost = np.zeros(n)
+        for j, kind in enumerate(kinds):
+            if kind == "convex":
+                abs_lhs[:, j] = rng.uniform(0, 0.9, rows)
+                abs_cost[j] = -1.0
+            elif kind == "nonconvex":
+                abs_lhs[:, j] = rng.uniform(-0.9, 0.9, rows)
+                abs_lhs[int(rng.integers(rows)), j] = -0.5
+                abs_cost[j] = float(rng.integers(0, 2))
+        if trial % 2:
+            abs_lhs = np.round(2.0 * abs_lhs) / 2.0
+        lin_cost = rng.integers(-2, 3, n).astype(float)
+        if trial % 2:
+            # x_j enters only through |x_j|: its two orthants mirror
+            # each other and tie
+            j = np.flatnonzero(kinds == "nonconvex")[0]
+            lin_lhs[:m, j] = lin_cost[j] = 0.0
+        prog = _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
+        ref = solve_gen_avlp(prog, records=True)
+        assert len(ref.records) == 2**k
+        # tableau bytes of one orthant LP, counted as the sweep counts them
+        conv = int(np.sum(kinds == "convex"))
+        lp_bytes = 8 * (n + conv + 1) * (rows + k + 2 * conv + n + conv + 1)
+        for chunk_bytes, most in ((1, 1), (3 * lp_bytes, 3), (default, 2**k)):
+            monkeypatch.setattr(avlp, "_CHUNK_BYTES", chunk_bytes)
+            sizes.clear()
+            _assert_same_outcome(solve_gen_avlp(prog), ref)
+            assert sum(sizes) == 2**k and max(sizes) == most
+
+
 def _assert_same_outcome(got, ref):
     """Bit-identical sweep outcomes, records aside."""
     assert got.status is ref.status
-    assert type(got.value) is float and got.value == ref.value
+    assert type(got.value) is float and got.value.hex() == ref.value.hex()
     assert got.orthant == ref.orthant
     for field in ("optimizer", "ray"):
         a, b = getattr(got, field), getattr(ref, field)
         assert (a is None) == (b is None)
         if a is not None:
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _assert_same_core(out, i, ref):
@@ -319,8 +383,12 @@ def _assert_same_core(out, i, ref):
 
 
 def _batch_against_scalar(G_stack, g, c_stack):
-    """Batch outcomes, each checked bit for bit against the scalar kernel."""
+    """Batch outcomes, each checked bit for bit against the scalar
+    kernel; the batch must leave its inputs as they were."""
+    inputs = [a.copy() for a in (G_stack, g, c_stack)]
     out = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
+    for a, before in zip((G_stack, g, c_stack), inputs):
+        assert a.tobytes() == before.tobytes()
     assert len(out.code) == len(G_stack)
     for i, (G, c) in enumerate(zip(G_stack, c_stack)):
         if out.code[i] != simplex._HANDED_BACK:
@@ -355,6 +423,12 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
         G_stack[1, :, 1] = G_stack[1, :, 0]
         c_stack[1, 1] = c_stack[1, 0]
         out = _batch_against_scalar(G_stack, g, c_stack)
+        # the same LPs as a view of a (B, n, m) array, the layout the
+        # sweep passes: the same outcomes, to the bit
+        view = np.ascontiguousarray(G_stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+        again = _batch_against_scalar(view, g, c_stack)
+        for a, b in zip(out, again):
+            assert a.tobytes() == b.tobytes()
         assert out.code[0] == simplex._HANDED_BACK
         assert out.code[1] == simplex._HANDED_BACK
         # the box keeps the dual feasible, so the batch settles the rest

@@ -224,6 +224,37 @@ def test_vertices_default_orthant_accounts_for_relief(capsys, tmp_path):
     assert report["witnesses"]["vertices"] == [pytest.approx([2.0, 1.0], abs=1e-12)]
 
 
+def test_vertices_unsolvable_default_orthant_prints_only_the_error(capsys, fixtures_dir):
+    # the midpoint basic system's envelope is not verifiably regular,
+    # and no sign pattern solves it: one exit-3 line, no raw warning
+    code, out, err = run(capsys, "vertices", str(fixtures_dir / "example1.json"), "--basis", "1,2")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "numerical failure: no sign-consistent solution of the absolute value system was found\n"
+    )
+
+
+def test_vertices_reports_an_unverified_default_orthant(capsys, tmp_path):
+    # x - D_B |x| = (-1, -1) with D_B all ones: the envelope holds the
+    # zero matrix, so uniqueness is not verified, but x = (-1/3, -1/3)
+    # solves it; the report says so under logs
+    document = {
+        "A": {"mid": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "rad": [[0.0, 0.0]] * 3},
+        "b": {"mid": [-1.0, -1.0, 10.0], "rad": [0.0] * 3},
+        "c": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
+        "D": {"mid": [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]], "rad": [[0.0, 0.0]] * 3},
+    }
+    path = tmp_path / "unverified.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, report, err = run_json(capsys, "vertices", str(path), "--basis", "1,2")
+    assert code == 0, err
+    assert err == ""
+    assert report["values"]["sign"] == [-1, -1]
+    assert report["witnesses"]["vertices"] == [pytest.approx([-1 / 3, -1 / 3], abs=1e-12)]
+    assert "not verified" in report["logs"]["default_orthant"]
+
+
 def test_sample_oracle_stays_inside_the_range(capsys, fixtures_dir):
     code, report, _ = run_json(
         capsys,

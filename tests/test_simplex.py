@@ -201,6 +201,33 @@ def test_phase_one_cost_row_drift_is_repaired():
     assert np.all(G @ out.x <= g + 1e-7)
 
 
+def test_outcome_does_not_depend_on_the_layout_of_g():
+    # phase one sums the dual's rows, one per variable; numpy takes a
+    # sum of eight or more terms in an order set by the memory layout,
+    # so the kernel fixes the layout, and C and Fortran order agree
+    rng = np.random.default_rng(46)
+    statuses = set()
+    for trial in range(30):
+        n = int(rng.integers(8, 13))
+        G = rng.uniform(-5.0, 5.0, (int(rng.integers(n, 3 * n)), n))
+        g = rng.uniform(-1.0, 5.0, G.shape[0])
+        if trial % 2:
+            G = np.vstack([G, np.eye(n), -np.eye(n)])
+            g = np.concatenate([g, np.ones(2 * n)])
+        c = rng.uniform(-5.0, 5.0, n)
+        ref = solve_lp(LpProblem(c=c, G=G, g=g))
+        out = solve_lp(LpProblem(c=c, G=np.asfortranarray(G), g=g))
+        statuses.add(ref.status)
+        assert out.status is ref.status and out.basis == ref.basis
+        assert out.value.hex() == ref.value.hex()
+        for field in ("x", "y", "ray", "certificate"):
+            a, b = getattr(out, field), getattr(ref, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tobytes() == b.tobytes()
+    assert statuses == {Status.OPTIMAL, Status.UNBOUNDED}
+
+
 def test_shape_validation():
     with pytest.raises(DimensionError):
         LpProblem(c=[1.0, 2.0], G=[[1.0]], g=[1.0])
