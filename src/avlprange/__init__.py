@@ -19,7 +19,6 @@ from .errors import (
     DimensionError,
     InputError,
     NumericalError,
-    OrthantEscapeError,
     SingularMatrixError,
     SizeCapError,
     UnknownRegularityError,
@@ -38,11 +37,7 @@ from .intervals import (
     rex_rohn_regular,
     sign_of,
 )
-from .linalg import (
-    enclose_interval_solution,
-    hull_vertices_orthant,
-    solve_square,
-)
+from .linalg import enclose_interval_solution, solve_square
 from .problem_io import parse_problem, problem_from_dict, serialize_problem, write_problem
 from .ranges import (
     AvlpProblem,
@@ -89,7 +84,6 @@ __all__ = [
     "SingularMatrixError",
     "NumericalError",
     "UnknownRegularityError",
-    "OrthantEscapeError",
     "SizeCapError",
     "IntervalVector",
     "IntervalMatrix",
@@ -104,7 +98,6 @@ __all__ = [
     "interval_matvec",
     "solve_square",
     "enclose_interval_solution",
-    "hull_vertices_orthant",
     "Status",
     "BasisOptimality",
     "LpProblem",

@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -27,15 +26,7 @@ from .errors import (
     SingularMatrixError,
     SizeCapError,
 )
-from .intervals import (
-    DEFAULT_TOL,
-    IntervalMatrix,
-    IntervalVector,
-    SignVector,
-    _check_tolerances,
-    sign_of,
-)
-from .linalg import hull_vertices_orthant
+from .intervals import DEFAULT_TOL, IntervalVector, SignVector, _check_tolerances
 from .problem_io import _decode_document, parse_problem, problem_from_dict
 from .ranges import (
     AvlpProblem,
@@ -50,13 +41,11 @@ from .simplex import Status
 from .stability import (
     Basis,
     CertificateStatus,
-    GaveSystem,
     StabilityCertificate,
     _BEST_ACCEPTS,
     _WORST_ACCEPTS,
     _basis_rows,
     best_case_bstable,
-    solve_gave,
     verify_b_stability,
     worst_case_bstable,
 )
@@ -124,14 +113,6 @@ def _build_parser() -> _Parser:
     stability = command("stability", "verify basis stability")
     stability.add_argument("--basis", required=True,
                            help="1-based basic rows, e.g. '1,2'")
-
-    vertices = command("vertices", "corner solutions of the basic system")
-    vertices.add_argument("--basis", required=True,
-                          help="1-based basic rows, e.g. '1,2'")
-    vertices.add_argument("--signs",
-                          help="orthant to search (default: sign of the "
-                          "solution of the midpoint basic system "
-                          "A_B x - D_B |x| = b_B)")
 
     oracle = command("sample-oracle", "solve uniformly sampled realizations")
     oracle.add_argument("--samples", type=int, default=200)
@@ -263,6 +244,8 @@ def _verified_certificate(
 def _pick_realization(problem: AvlpProblem, args) -> tuple[Realization, str]:
     if args.realization and args.corner:
         raise InputError("--realization and --corner are mutually exclusive")
+    if args.signs and not args.corner:
+        raise InputError("--signs needs --corner best|worst")
     if args.realization:
         other = parse_problem(args.realization)
         if (other.m, other.n) != (problem.m, problem.n):
@@ -303,8 +286,6 @@ def _pick_realization(problem: AvlpProblem, args) -> tuple[Realization, str]:
         s = _parse_sign_tokens(args.signs, problem.n)
         corner = problem.best_corner if args.corner == "best" else problem.worst_corner
         return corner(s), f"corner:{args.corner}:{args.signs}"
-    if args.signs:
-        raise InputError("--signs needs --corner best|worst")
     chosen = Realization(
         A=problem.A.mid, b=problem.b.mid, c=problem.c.mid, D=problem.D.mid
     )
@@ -397,40 +378,6 @@ def _cmd_stability(problem: AvlpProblem, args) -> dict:
     }
 
 
-def _cmd_vertices(problem: AvlpProblem, args) -> dict:
-    basis = _require_basis(args, problem)
-    rows = basis.as_array()
-    logs = {}
-    if args.signs:
-        s = _parse_sign_tokens(args.signs, problem.n)
-    else:
-        # a warning that the solution may not be unique goes into the
-        # report; when no solution follows, only the error is printed
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            s = sign_of(solve_gave(
-                GaveSystem(M=problem.A.mid[rows], F=-problem.D.mid[rows], g=problem.b.mid[rows]),
-                cap=args.orthant_cap,
-            ))
-        if caught:
-            logs["default_orthant"] = "; ".join(str(w.message) for w in caught)
-    s_arr = s.as_array()
-    # basic system at fixed sign: the relief matrix folds into the
-    # matrix, its own interval width widens the radius
-    system = IntervalMatrix.from_midrad(
-        problem.A.mid[rows] - problem.D.mid[rows] * s_arr[None, :],
-        problem.A.rad[rows] + problem.D.rad[rows],
-    )
-    points = hull_vertices_orthant(system, problem.b.mid[rows], s, tol=args.tol)
-    report = {
-        "values": {"count": len(points), "sign": list(s.entries)},
-        "witnesses": {"vertices": [p.tolist() for p in points]},
-    }
-    if logs:
-        report["logs"] = logs
-    return report
-
-
 def _cmd_sample_oracle(problem: AvlpProblem, args) -> dict:
     if args.samples < 1:
         raise InputError("--samples must be at least 1")
@@ -468,7 +415,6 @@ _HANDLERS = {
     "worst": _cmd_worst,
     "range": _cmd_range,
     "stability": _cmd_stability,
-    "vertices": _cmd_vertices,
     "sample-oracle": _cmd_sample_oracle,
 }
 

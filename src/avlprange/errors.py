@@ -31,10 +31,5 @@ class UnknownRegularityError(NumericalError):
     relies on regularity refuses to proceed."""
 
 
-class OrthantEscapeError(NumericalError):
-    """A corner solution left the orthant it was supposed to stay in, so
-    the closed-form vertex description does not apply."""
-
-
 class SizeCapError(AvlpRangeError):
     """The problem exceeds a configured combinatorial size limit."""

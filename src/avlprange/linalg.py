@@ -1,5 +1,4 @@
-"""Square solves, verified interval-system enclosures, and orthant
-vertex enumeration.
+"""Square solves and verified interval-system enclosures.
 
 The enclosure routine covers the united solution set of ``M x = b``
 for a square interval matrix and interval right side with one formula:
@@ -15,11 +14,6 @@ raises ``UnknownRegularityError`` and never returns an unverified box.
 ``intervals.beeck_regular``, so a Beeck test followed by an enclosure
 of the same matrix inverts its midpoint once.
 
-``hull_vertices_orthant`` enumerates the corner solutions of a regular
-interval system restricted to one orthant.  Inside a fixed orthant the
-solution set's extreme points are taken at endpoint matrices, which is
-what the 2**n corner sweep visits.
-
 Square solves here and in ``simplex.check_basis_optimal`` go through
 one checked inverse from ``numpy.linalg.inv``, so the runtime needs
 numpy alone.
@@ -27,27 +21,12 @@ numpy alone.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    NumericalError,
-    OrthantEscapeError,
-    SingularMatrixError,
-    UnknownRegularityError,
-)
-from .intervals import (
-    DEFAULT_TOL,
-    REGULARITY_MARGIN,
-    IntervalMatrix,
-    IntervalVector,
-    SignVector,
-    beeck_regular,
-    realize_rs,
-    rex_rohn_regular,
-)
+from .errors import DimensionError, NumericalError, SingularMatrixError, UnknownRegularityError
+from .intervals import REGULARITY_MARGIN, IntervalMatrix, IntervalVector
+# unused here; perfbench/tracer.py wraps these two names as attributes of linalg
+from .intervals import beeck_regular, rex_rohn_regular  # noqa: F401
 
 #: Reciprocal condition floor for square inverses: a matrix ``A`` with
 #: ``PIVOT_RTOL * max(||A||_inf, 1) * ||A^-1||_inf > 1`` counts as
@@ -59,10 +38,6 @@ PIVOT_RTOL = 1e-12
 
 #: Residual contract for square solves, relative to the natural scale.
 RESIDUAL_RTOL = 1e-8
-
-#: Points closer than this in the max norm are duplicates in
-#: hull_vertices_orthant.
-DEDUP_TOL = 1e-7
 
 
 def _checked_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -206,47 +181,3 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
             "unknown-regularity: Hansen-Bliek-Rohn bound could not be formed"
         )
     return IntervalVector(*bound)
-
-
-def hull_vertices_orthant(
-    matrix: IntervalMatrix,
-    rhs,
-    s: SignVector,
-    tol: float = DEFAULT_TOL,
-) -> list[np.ndarray]:
-    """Corner solutions of a regular interval system within orthant ``s``.
-
-    Solves the 2**n endpoint systems selected by row signs ``r`` and
-    returns the deduplicated solution list (first occurrence kept,
-    duplicates closer than 1e-7 in the max norm dropped).  Every
-    solution must satisfy ``diag(s) x >= 0``; a corner that escapes the
-    orthant invalidates the construction and raises
-    ``OrthantEscapeError``.
-    """
-    m, n = matrix.shape
-    if m != n:
-        raise DimensionError(f"vertex enumeration needs a square system, got {matrix.shape}")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (n,):
-        raise DimensionError(f"right side has shape {rhs.shape}, expected ({n},)")
-    if len(s) != n:
-        raise DimensionError(f"sign vector has length {len(s)}, expected {n}")
-    check = beeck_regular(matrix)
-    if not check.verified:
-        check = rex_rohn_regular(matrix)
-    if not check.verified:
-        raise UnknownRegularityError(
-            "unknown-regularity: corner sweep requires a verified regular matrix"
-        )
-    s_arr = s.as_array()
-    points: list[np.ndarray] = []
-    for r in itertools.product((-1.0, 1.0), repeat=n):
-        corner = realize_rs(matrix, np.array(r), s_arr)
-        x = solve_square(corner, rhs)
-        if np.any(s_arr * x < -tol):
-            raise OrthantEscapeError(
-                f"orthant-escape: corner solution {x} leaves orthant {tuple(s)}"
-            )
-        if all(float(np.max(np.abs(x - p))) > DEDUP_TOL for p in points):
-            points.append(x)
-    return points

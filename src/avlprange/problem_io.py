@@ -12,6 +12,7 @@ round-trips losslessly.
 from __future__ import annotations
 
 import json
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,23 @@ from .intervals import IntervalMatrix, IntervalVector
 from .ranges import AvlpProblem
 
 _FIELDS = (("A", 2), ("b", 1), ("c", 1), ("D", 2))
+
+
+def _check_numbers(value, key: str, part: str) -> None:
+    """Reject every leaf of the nested lists that is not a number.
+
+    ``np.array(..., dtype=float)`` would read the strings "1" and
+    "inf" and the booleans as numbers, and a dtype check misses a
+    boolean mixed into a list of integers, so each leaf is checked.
+    """
+    if isinstance(value, (list, tuple, np.ndarray)):
+        for item in value:
+            _check_numbers(item, key, part)
+    elif isinstance(value, bool) or not isinstance(value, Real):
+        raise InputError(
+            f'in field "{key}": "{part}" holds {json.dumps(value, default=repr)}, '
+            f"which is not a number"
+        )
 
 
 def _read_interval(document: dict, key: str, ndim: int):
@@ -37,6 +55,8 @@ def _read_interval(document: dict, key: str, ndim: int):
         raise InputError(
             f'"{key}" must use exactly one of the forms "inf"/"sup" or "mid"/"rad"'
         )
+    for part in ("inf", "sup") if endpoint_form else ("mid", "rad"):
+        _check_numbers(entry[part], key, part)
     cls = IntervalMatrix if ndim == 2 else IntervalVector
     try:
         if endpoint_form:

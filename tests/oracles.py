@@ -135,6 +135,31 @@ def corner_determinant_range(mid, rad):
     return lo, hi
 
 
+def corner_solution_hull(mid, rad, rhs):
+    """Vertices of the hull of the solution set of ``[mid ± rad] x = rhs``.
+
+    Every entry with positive radius is put at each of its two ends in
+    turn, each endpoint system is solved, and the vertices of the
+    convex hull of those solutions are returned.  For a regular
+    interval matrix whose solutions keep one sign pattern this is the
+    hull of the whole solution set.  Only usable when few entries have
+    positive radius.
+    """
+    from scipy.spatial import ConvexHull
+
+    mid = np.asarray(mid, dtype=float)
+    rad = np.asarray(rad, dtype=float)
+    spots = np.argwhere(rad > 0)
+    points = []
+    for bits in itertools.product((-1.0, 1.0), repeat=len(spots)):
+        corner = mid.copy()
+        for (i, j), t in zip(spots, bits):
+            corner[i, j] += t * rad[i, j]
+        points.append(np.linalg.solve(corner, rhs))
+    points = np.array(points)
+    return points[ConvexHull(points).vertices]
+
+
 def gave_solutions(M, F, g):
     """Every solution of ``M x + F |x| = g`` by trying all sign patterns."""
     M = np.asarray(M, dtype=float)

@@ -16,11 +16,9 @@ from avlprange import (
     IntervalMatrix,
     LpProblem,
     Realization,
-    SignVector,
     Status,
     best_case,
     best_case_bstable,
-    hull_vertices_orthant,
     sample_realization,
     solve_gave,
     solve_lp,
@@ -32,6 +30,7 @@ from avlprange import (
 
 from oracles import (
     bstable_characterizations,
+    corner_solution_hull,
     gave_solutions,
     lp_oracle,
     random_box_bounded_problem,
@@ -115,11 +114,13 @@ def test_example4_stable_basis_workflow(example4):
     value, _, _ = worst_case_bstable(example4, basis, certificate=cert)
     assert value == pytest.approx(19.813, abs=1e-3)
 
-    block = IntervalMatrix.from_midrad(
+    # basic system in the positive orthant, where |x| = x folds the
+    # relief into the matrix
+    vertices = corner_solution_hull(
         example4.A.mid[rows] - example4.D.mid[rows],
         example4.A.rad[rows] + example4.D.rad[rows],
+        example4.b.mid[rows],
     )
-    vertices = hull_vertices_orthant(block, example4.b.mid[rows], SignVector((1, 1)))
     expected = [
         (2.9438, 9.6878),
         (2.3729, 9.0557),
@@ -127,6 +128,7 @@ def test_example4_stable_basis_workflow(example4):
         (3.6756, 8.9560),
     ]
     assert len(vertices) == 4
+    assert np.all(vertices > 0.0)
     for want in expected:
         assert any(
             np.allclose(got, want, atol=1e-3) for got in vertices

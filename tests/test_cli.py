@@ -1,5 +1,6 @@
 """Command line driver: reports, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from avlprange import write_problem
-from avlprange.cli import main
+from avlprange.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -92,7 +93,9 @@ def test_solve_corner_with_signs(capsys, fixtures_dir):
     assert report["logs"]["realization_choice"] == "corner:best:+,+"
 
 
-def test_solve_explicit_realization(capsys, fixtures_dir, tmp_path, example4):
+@pytest.fixture
+def example4_midpoint_file(tmp_path, example4):
+    """Zero-width problem file holding example 4's midpoint realization."""
     from avlprange import AvlpProblem, IntervalMatrix, IntervalVector
 
     point = AvlpProblem(
@@ -103,15 +106,36 @@ def test_solve_explicit_realization(capsys, fixtures_dir, tmp_path, example4):
     )
     path = tmp_path / "realization.json"
     write_problem(point, path)
+    return str(path)
+
+
+def test_solve_explicit_realization(capsys, fixtures_dir, example4_midpoint_file):
     code, report, _ = run_json(
         capsys,
         "solve",
         str(fixtures_dir / "example4.json"),
         "--realization",
-        str(path),
+        example4_midpoint_file,
     )
     assert code == 0
     assert report["values"]["value"] == pytest.approx(21.0, abs=1e-9)
+
+
+def test_signs_without_corner_rejected_beside_a_realization(
+    capsys, fixtures_dir, example4_midpoint_file
+):
+    code, out, err = run(
+        capsys,
+        "solve",
+        str(fixtures_dir / "example4.json"),
+        "--realization",
+        example4_midpoint_file,
+        "--signs",
+        "+,-",
+    )
+    assert code == 2
+    assert "--signs needs --corner" in err
+    assert out == ""
 
 
 def test_best_and_worst_bstable(capsys, fixtures_dir):
@@ -185,76 +209,6 @@ def test_stability_with_singular_basic_rows_is_unknown(capsys, tmp_path):
     assert report["certificates"]["stability"]["regularity"]["reason"] == "midpoint-singular"
 
 
-def test_vertices_command(capsys, fixtures_dir):
-    code, report, _ = run_json(
-        capsys,
-        "vertices",
-        str(fixtures_dir / "example4.json"),
-        "--basis",
-        "1,2",
-        "--signs",
-        "+,+",
-    )
-    assert code == 0
-    assert report["values"]["count"] == 4
-    want = [
-        (3.0445, 8.3841),
-        (2.3729, 9.0557),
-        (3.6756, 8.956),
-        (2.9438, 9.6878),
-    ]
-    for got, expect in zip(report["witnesses"]["vertices"], want):
-        assert got == pytest.approx(expect, abs=1e-3)
-
-
-def test_vertices_default_orthant_accounts_for_relief(capsys, tmp_path):
-    # A_B x = b_B solves to (-1, 1), but the relief D_B moves the
-    # midpoint basic system's solution to (2, 1)
-    document = {
-        "A": {"mid": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "rad": [[0.0, 0.0]] * 3},
-        "b": {"mid": [-1.0, 1.0, 10.0], "rad": [0.0] * 3},
-        "c": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
-        "D": {"mid": [[0.0, 3.0], [0.0, 0.0], [0.0, 0.0]], "rad": [[0.0, 0.0]] * 3},
-    }
-    path = tmp_path / "relief.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
-    code, report, err = run_json(capsys, "vertices", str(path), "--basis", "1,2")
-    assert code == 0, err
-    assert report["values"]["sign"] == [1, 1]
-    assert report["witnesses"]["vertices"] == [pytest.approx([2.0, 1.0], abs=1e-12)]
-
-
-def test_vertices_unsolvable_default_orthant_prints_only_the_error(capsys, fixtures_dir):
-    # the midpoint basic system's envelope is not verifiably regular,
-    # and no sign pattern solves it: one exit-3 line, no raw warning
-    code, out, err = run(capsys, "vertices", str(fixtures_dir / "example1.json"), "--basis", "1,2")
-    assert code == 3
-    assert out == ""
-    assert err == (
-        "numerical failure: no sign-consistent solution of the absolute value system was found\n"
-    )
-
-
-def test_vertices_reports_an_unverified_default_orthant(capsys, tmp_path):
-    # x - D_B |x| = (-1, -1) with D_B all ones: the envelope holds the
-    # zero matrix, so uniqueness is not verified, but x = (-1/3, -1/3)
-    # solves it; the report says so under logs
-    document = {
-        "A": {"mid": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "rad": [[0.0, 0.0]] * 3},
-        "b": {"mid": [-1.0, -1.0, 10.0], "rad": [0.0] * 3},
-        "c": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
-        "D": {"mid": [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]], "rad": [[0.0, 0.0]] * 3},
-    }
-    path = tmp_path / "unverified.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
-    code, report, err = run_json(capsys, "vertices", str(path), "--basis", "1,2")
-    assert code == 0, err
-    assert err == ""
-    assert report["values"]["sign"] == [-1, -1]
-    assert report["witnesses"]["vertices"] == [pytest.approx([-1 / 3, -1 / 3], abs=1e-12)]
-    assert "not verified" in report["logs"]["default_orthant"]
-
-
 def test_sample_oracle_stays_inside_the_range(capsys, fixtures_dir):
     code, report, _ = run_json(
         capsys,
@@ -281,6 +235,12 @@ def test_usage_errors_exit_1(capsys, fixtures_dir):
 
     code, _, err = run(capsys, "solve")
     assert code == 1
+
+    code, _, err = run(
+        capsys, "vertices", str(fixtures_dir / "example4.json"), "--basis", "1,2"
+    )
+    assert code == 1
+    assert "usage error" in err
 
 
 def test_missing_file_exits_2(capsys):
@@ -332,9 +292,10 @@ def test_numerical_failures_exit_3(capsys, tmp_path):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(document), encoding="utf-8")
-    code, _, err = run(capsys, "vertices", str(path), "--basis", "1,2", "--signs", "+,+")
+    code, out, err = run(capsys, "best", str(path), "--bstable", "--basis", "1,2")
     assert code == 3
     assert "numerical failure" in err
+    assert out == ""
 
 
 def test_size_cap_exits_4(capsys, tmp_path):
@@ -377,6 +338,15 @@ def test_reports_validate_against_schema(capsys, fixtures_dir, docs_dir):
         code, report, _ = run_json(capsys, *argv)
         assert code == 0
         jsonschema.validate(report, schema)
+
+
+def test_schema_names_every_command(docs_dir):
+    schema = json.loads((docs_dir / "report_schema.json").read_text(encoding="utf-8"))
+    (subparsers,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(schema["properties"]["command"]["enum"]) == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4"])

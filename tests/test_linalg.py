@@ -1,4 +1,4 @@
-"""Factorizations, verified enclosures, and corner sweeps."""
+"""The checked inverse and verified enclosures."""
 
 import itertools
 import os
@@ -12,16 +12,14 @@ import pytest
 from avlprange import (
     IntervalMatrix,
     IntervalVector,
-    SignVector,
     SingularMatrixError,
     UnknownRegularityError,
     beeck_regular,
     enclose_interval_solution,
-    hull_vertices_orthant,
     rex_rohn_regular,
     solve_square,
 )
-from avlprange.errors import DimensionError, OrthantEscapeError
+from avlprange.errors import DimensionError
 from avlprange.linalg import _checked_inverse
 
 
@@ -214,56 +212,6 @@ class TestEnclosure:
         a = IntervalMatrix.from_point([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DimensionError):
             enclose_interval_solution(a, IntervalVector.from_point([1.0]))
-
-
-class TestHullVertices:
-    def test_scalar_interval_has_two_corners(self):
-        a = IntervalMatrix([[1.0]], [[2.0]])
-        points = hull_vertices_orthant(a, [2.0], SignVector((1,)))
-        got = sorted(float(p[0]) for p in points)
-        assert np.allclose(got, [1.0, 2.0], atol=1e-12)
-
-    def test_duplicates_collapse(self):
-        a = IntervalMatrix.from_point([[2.0]])
-        points = hull_vertices_orthant(a, [4.0], SignVector((1,)))
-        assert len(points) == 1
-        assert np.allclose(points[0], [2.0])
-
-    def test_known_four_vertex_sweep(self):
-        a = IntervalMatrix.from_midrad(
-            [[1.0, 1.0], [-3.0, 3.0]], [[0.05, 0.05], [0.1, 0.2]]
-        )
-        points = hull_vertices_orthant(a, [12.0, 18.0], SignVector((1, 1)))
-        want = [
-            (3.0444964871194378, 8.38407494145199),
-            (2.3728813559322035, 9.055690072639225),
-            (3.675582398619499, 8.955996548748921),
-            (2.943800178412132, 9.687778768956289),
-        ]
-        assert len(points) == 4
-        for got, expect in zip(points, want):
-            assert np.allclose(got, expect, atol=1e-9)
-
-    def test_corner_outside_orthant_raises(self):
-        a = IntervalMatrix.from_point([[1.0]])
-        with pytest.raises(OrthantEscapeError):
-            hull_vertices_orthant(a, [-1.0], SignVector((1,)))
-
-    def test_unverified_regularity_raises(self):
-        a = IntervalMatrix.from_midrad(np.eye(2), np.full((2, 2), 2.0))
-        with pytest.raises(UnknownRegularityError):
-            hull_vertices_orthant(a, [1.0, 1.0], SignVector((1, 1)))
-
-    def test_every_reported_point_solves_a_member_system(self):
-        rng = np.random.default_rng(21)
-        a = IntervalMatrix.from_midrad(
-            [[3.0, 0.5], [-0.4, 2.5]], [[0.1, 0.05], [0.08, 0.1]]
-        )
-        rhs = np.array([3.0, 2.0])
-        points = hull_vertices_orthant(a, rhs, SignVector((1, 1)))
-        for p in points:
-            residual = np.abs(a.mid @ p - rhs) - a.rad @ np.abs(p)
-            assert np.all(residual <= 1e-9)
 
 
 _WITHOUT_SCIPY = """

@@ -1,6 +1,7 @@
 """Problem file parsing, serialization, and the shipped schemas."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,35 @@ def test_non_numeric_entry_rejected():
                 "b": {"inf": [1.0], "sup": [1.0]},
                 "c": {"inf": [1.0], "sup": [1.0]},
                 "D": {"inf": [[0.0]], "sup": [[0.0]]},
+            }
+        )
+
+
+@pytest.mark.parametrize("key", ["A", "b", "c", "D"])
+@pytest.mark.parametrize("leaf", ["1", True, None], ids=["string", "true", "null"])
+def test_non_number_leaf_rejected(key, leaf):
+    # with a number in place of the leaf every document here is valid
+    document = {
+        "A": {"inf": [[1.0]], "sup": [[1.0]]},
+        "b": {"inf": [1.0], "sup": [1.0]},
+        "c": {"inf": [1.0], "sup": [1.0]},
+        "D": {"inf": [[0.0]], "sup": [[1.0]]},
+    }
+    document[key]["inf"] = [[leaf]] if key in ("A", "D") else [leaf]
+    message = f'in field "{key}": "inf" holds {json.dumps(leaf)}, which is not a number'
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        problem_from_dict(document)
+
+
+def test_boolean_among_integers_rejected():
+    # numpy reads [1, true] as an integer array
+    with pytest.raises(InputError, match="holds true"):
+        problem_from_dict(
+            {
+                "A": {"mid": [[1, 1], [0, 1]], "rad": [[0, 0], [0, 0]]},
+                "b": {"mid": [1, 1], "rad": [0, 0]},
+                "c": {"mid": [1, 1], "rad": [0, True]},
+                "D": {"mid": [[0, 0], [0, 0]], "rad": [[0, 0], [0, 0]]},
             }
         )
 

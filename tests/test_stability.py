@@ -16,6 +16,7 @@ from avlprange import (
     InputError,
     IntervalMatrix,
     IntervalVector,
+    NumericalError,
     SizeCapError,
     StabilityCertificate,
     Status,
@@ -128,6 +129,22 @@ class TestCertificate:
         assert cert.reason == (
             "regularity of the basic block could not be verified (midpoint-singular)"
         )
+
+    def test_block_verified_by_rex_rohn_alone(self):
+        # Beeck's test declines this block and the singular-value test
+        # proves it regular; its preconditioned system still does not
+        # contract, so no enclosure follows
+        problem = AvlpProblem(
+            A=IntervalMatrix.from_midrad([[1.0, 1.0], [-1.0, 1.0]], 1.2 * np.eye(2)),
+            b=IntervalVector.from_point([1.0, 2.0]),
+            c=IntervalVector.from_point([1.0, 1.0]),
+            D=IntervalMatrix.from_point(np.zeros((2, 2))),
+        )
+        cert = verify_b_stability(problem, (0, 1))
+        assert cert.regularity.condition == "rex-rohn"
+        assert cert.regularity.verified
+        assert cert.status is CertificateStatus.UNKNOWN
+        assert cert.reason.startswith("primal enclosure failed")
 
     def test_analysis_leaves_the_problem_untouched(self, example4):
         owned = (example4, example4.A, example4.b, example4.c, example4.D)
@@ -348,6 +365,35 @@ class TestGave:
         with pytest.warns(UserWarning, match="uniqueness"):
             x = solve_gave(GaveSystem(M=np.eye(2), F=2.0 * np.eye(2), g=[3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
+
+    def test_unverified_system_with_one_solution_warns_and_returns_it(self):
+        # x - D_B |x| = (-1, -1) with D_B all ones: the envelope holds
+        # the zero matrix, yet x = (-1/3, -1/3) solves the system
+        with pytest.warns(UserWarning, match="not verified"):
+            x = solve_gave(GaveSystem(M=np.eye(2), F=-np.ones((2, 2)), g=[-1.0, -1.0]))
+        assert x == pytest.approx([-1 / 3, -1 / 3], abs=1e-12)
+
+    def test_unverified_system_without_solution_warns_then_fails(self, example1):
+        # example 1's midpoint basic system at basis (0, 1)
+        rows = [0, 1]
+        system = GaveSystem(
+            M=example1.A.mid[rows], F=-example1.D.mid[rows], g=example1.b.mid[rows]
+        )
+        with pytest.warns(UserWarning, match="uniqueness"):
+            with pytest.raises(NumericalError, match="^no sign-consistent solution"):
+                solve_gave(system)
+
+    def test_envelope_verified_by_rex_rohn_alone(self):
+        # Beeck's test declines the envelope [M - 1.2 I, M + 1.2 I] and
+        # the singular-value test proves it regular
+        M = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        F = 1.2 * np.eye(2)
+        g = np.array([1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_gave(GaveSystem(M=M, F=F, g=g))
+        assert np.max(np.abs(M @ x + F @ np.abs(x) - g)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
+        assert x == pytest.approx([0.0342, 0.9247], abs=1e-4)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(71)
