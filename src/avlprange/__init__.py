@@ -9,7 +9,6 @@ value, and exact worst-case values under verified basis stability.
 from .avlp import (
     DEFAULT_ORTHANT_CAP,
     GenAvlpProgram,
-    OrthantRecord,
     SolveOutcome,
     from_realization,
     solve_gen_avlp,
@@ -105,7 +104,6 @@ __all__ = [
     "solve_lp",
     "check_basis_optimal",
     "GenAvlpProgram",
-    "OrthantRecord",
     "SolveOutcome",
     "solve_gen_avlp",
     "from_realization",

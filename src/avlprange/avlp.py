@@ -33,15 +33,14 @@ row, the iteration limit) is handed back and re-solved by
 ``simplex._solve_inequality``.  A single LP is always solved by the
 scalar kernel, which is faster for one.  The sweep keeps its outcomes
 as arrays and picks the winner from them; it builds one sign vector,
-for the winner, and per-orthant records only when asked.
+for the winner, and lists the optimizers of the orthants that tie it.
 
-Unless records are asked for, the sweep also prunes.  In phase two each
-orthant LP's tableau is dual feasible, so its objective bounds that
-orthant's optimum from above.  Once the bound falls below the best
-optimum found so far (carried across chunks) by more than the tie
-window ``tol * (1 + |best|)``, the LP is dropped: that orthant can
-neither win nor tie, so the outcome stays the one the full sweep gives,
-bit for bit.
+The sweep also prunes.  In phase two each orthant LP's tableau is dual
+feasible, so its objective bounds that orthant's optimum from above.
+Once the bound falls below the best optimum found so far (carried
+across chunks) by more than the tie window ``tol * (1 + |best|)``, the
+LP is dropped: that orthant can neither win nor tie, so the winner and
+the ties stay those of the full sweep, bit for bit.
 
 The enumeration is exact but exponential, so problems are refused
 beyond a configurable cap (default 16) on the number of variables; the
@@ -116,30 +115,19 @@ class GenAvlpProgram:
 
 
 @dataclass(frozen=True)
-class OrthantRecord:
-    """Outcome of one orthant restriction."""
-
-    orthant: SignVector
-    status: Status
-    value: float
-    optimizer: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SolveOutcome:
     """Combined result over all enumerated orthants.
 
     ``value`` is a Python float, ``orthant`` the sign vector of the
     winning restriction, ``optimizer`` its point (a feasible point when
     unbounded) and ``ray`` an improving direction when unbounded (it
-    stays inside the winning orthant's cone).  ``records`` is empty
-    unless ``solve_gen_avlp`` was called with ``records=True``; then it
-    holds the per-orthant outcomes in lexicographic order, one per
-    orthant of the columns with a nonconvex ``|x|`` term (a single
-    record when there is none).  Every sign vector has length ``n``:
-    enumerated columns carry the orthant's label, the other columns
-    the sign of that restriction's optimizer (of its ray when
-    unbounded, plus when infeasible).
+    stays inside the winning orthant's cone).  The sign vector has
+    length ``n``: enumerated columns carry the orthant's label, the
+    other columns the sign of the optimizer (of the ray when
+    unbounded).  ``ties`` holds, one row each and in lexicographic
+    orthant order, the optimizers of the orthants whose optimum lies
+    within ``tol * (1 + |value|)`` of ``value``, the winner's included;
+    it has no rows unless the status is optimal.
     """
 
     status: Status
@@ -147,7 +135,7 @@ class SolveOutcome:
     optimizer: np.ndarray | None
     orthant: SignVector | None
     ray: np.ndarray | None
-    records: tuple[OrthantRecord, ...]
+    ties: np.ndarray
 
     @property
     def sign(self) -> SignVector | None:
@@ -179,7 +167,6 @@ def solve_gen_avlp(
     program: GenAvlpProgram,
     tol: float = DEFAULT_TOL,
     orthant_cap: int = DEFAULT_ORTHANT_CAP,
-    records: bool = False,
 ) -> SolveOutcome:
     """Solve a generalized program by orthant decomposition over the
     columns with a nonconvex ``|x|`` term.
@@ -190,13 +177,14 @@ def solve_gen_avlp(
     kernel.  The winner is the first unbounded orthant, else the first
     orthant with the largest value.
 
-    With ``records=False`` (the default) ``SolveOutcome.records`` is
-    empty, and the batch prunes in phase two every orthant LP whose
-    optimum provably lies below the best optimum found so far in the
-    sweep by more than ``tol * (1 + |best|)``: such an orthant can
-    neither win nor tie within that window, so the outcome is the one
-    the full sweep gives.  With ``records=True`` nothing is pruned and
-    every orthant's record is returned.
+    The batch prunes in phase two every orthant LP whose optimum
+    provably lies below the best optimum found so far in the sweep by
+    more than ``tol * (1 + |best|)``.  An orthant that ties the winner
+    within that window is never pruned, since its bound never falls
+    below its own optimum, which is at least the winner's value minus
+    the window (up to rounding: the bound is read off the tableau, the
+    optimum recomputed as ``cost @ x``); so the outcome, ties
+    included, is the one the full sweep gives.
 
     Raises ``SizeCapError`` when the variable count exceeds
     ``orthant_cap`` and ``InputError`` unless ``0 < tol <= 1e-3``.
@@ -258,7 +246,7 @@ def solve_gen_avlp(
     else:
         rows, cols = lhs.shape
         chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
-        incumbent = None if records else -np.inf
+        incumbent = -np.inf
         # enumerated column t of G + H diag(s), as a row: G - H where
         # s_t = -1 (bit 0) and G + H where s_t = +1 (bit 1), bit for bit
         choices = np.stack([(G - H)[:, enum].T, (G + H)[:, enum].T])
@@ -280,51 +268,36 @@ def solve_gen_avlp(
             for i in np.flatnonzero(batch.code == _HANDED_BACK):
                 # a rare branch of the scalar kernel
                 scalar(start + i, lhs_stack[i], cost_stack[i])
-            if incumbent is not None:
-                done = values[start:stop]
-                incumbent = max(incumbent, done[np.isfinite(done)].max(initial=-np.inf))
+            done = values[start:stop]
+            incumbent = max(incumbent, done[np.isfinite(done)].max(initial=-np.inf))
 
-    def status(i: int) -> Status:
-        if np.isfinite(values[i]):
-            return Status.OPTIMAL
-        return Status.UNBOUNDED if values[i] > 0 else Status.INFEASIBLE
-
-    def orthant(i: int) -> SignVector:
-        # unsplit columns take the sign of the point (of the ray when
-        # unbounded, plus when infeasible: its point is nan)
-        label = np.where(rays.get(i, points[i]) < 0, -1.0, 1.0)
-        if k:
-            label[enum] = np.where((i >> shifts) & 1, 1.0, -1.0)
-        return SignVector(label)
-
-    kept = ()
-    if records:
-        kept = tuple(
-            OrthantRecord(
-                orthant=orthant(i),
-                status=status(i),
-                value=float(values[i]),
-                optimizer=points[i] if status(i) is Status.OPTIMAL else None,
-            )
-            for i in range(len(values))
-        )
     best = int(np.argmax(values))
-    if values[best] == -np.inf:
+    value = float(values[best])
+    if value == -np.inf:
         return SolveOutcome(
             status=Status.INFEASIBLE,
-            value=-np.inf,
+            value=value,
             optimizer=None,
             orthant=None,
             ray=None,
-            records=kept,
+            ties=np.empty((0, n)),
         )
+    if value == np.inf:
+        status, ties = Status.UNBOUNDED, np.empty((0, n))
+    else:
+        status, ties = Status.OPTIMAL, points[values >= value - tol * (1.0 + abs(value))]
+    # unsplit columns take the sign of the point (of the ray when
+    # unbounded)
+    label = np.where(rays.get(best, points[best]) < 0, -1.0, 1.0)
+    if k:
+        label[enum] = np.where((best >> shifts) & 1, 1.0, -1.0)
     return SolveOutcome(
-        status=status(best),
-        value=float(values[best]),
+        status=status,
+        value=value,
         optimizer=points[best],
-        orthant=orthant(best),
+        orthant=SignVector(label),
         ray=rays.get(best),
-        records=kept,
+        ties=ties,
     )
 
 
@@ -359,7 +332,6 @@ def from_realization(
 __all__ = [
     "DEFAULT_ORTHANT_CAP",
     "GenAvlpProgram",
-    "OrthantRecord",
     "SolveOutcome",
     "solve_gen_avlp",
     "from_realization",

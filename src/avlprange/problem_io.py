@@ -4,9 +4,10 @@ The document is an object with keys "A", "b", "c", "D".  Each value is
 itself an object in one of two forms, ``{"inf": ..., "sup": ...}`` or
 ``{"mid": ..., "rad": ...}``, holding nested lists of numbers (lists
 of rows for the matrices, flat lists for the vectors).  Optional
-"name" and "description" strings are carried along untouched.
-Serialization always emits the inf/sup form, so an inf/sup file
-round-trips losslessly.
+"name" and "description" strings are carried along untouched.  Any
+other key, at the top level or inside an interval object, is rejected,
+as ``docs/problem_schema.json`` rejects it.  Serialization always emits
+the inf/sup form, so an inf/sup file round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ def _read_interval(document: dict, key: str, ndim: int):
         raise InputError(
             f'"{key}" must use exactly one of the forms "inf"/"sup" or "mid"/"rad"'
         )
-    for part in ("inf", "sup") if endpoint_form else ("mid", "rad"):
+    parts = ("inf", "sup") if endpoint_form else ("mid", "rad")
+    extra = sorted(entry.keys() - set(parts), key=str)
+    if extra:
+        raise InputError(
+            f'in field "{key}": unknown key "{extra[0]}" beside "{parts[0]}"/"{parts[1]}"'
+        )
+    for part in parts:
         _check_numbers(entry[part], key, part)
     cls = IntervalMatrix if ndim == 2 else IntervalVector
     try:
@@ -78,6 +85,15 @@ def problem_from_dict(document: dict) -> AvlpProblem:
     """Build a validated problem from an already-parsed document."""
     if not isinstance(document, dict):
         raise InputError("problem document must be a JSON object")
+    known = {"name", "description"} | {key for key, _ in _FIELDS}
+    extra = sorted(document.keys() - known, key=str)
+    if extra:
+        raise InputError(f'problem document has unknown key "{extra[0]}"')
+    for key in ("name", "description"):
+        if not isinstance(document.get(key, ""), str):
+            raise InputError(
+                f'"{key}" must be a string, got {json.dumps(document[key], default=repr)}'
+            )
     parts = {key: _read_interval(document, key, ndim) for key, ndim in _FIELDS}
     return AvlpProblem(A=parts["A"], b=parts["b"], c=parts["c"], D=parts["D"])
 

@@ -2,16 +2,27 @@
 
 Everything here recomputes answers by brute force (vertex enumeration,
 exhaustive sign patterns, corner sweeps) so the package's solvers are
-checked against arithmetic that shares no code with them.  The random
-instance generators live here too so unit and acceptance tests draw
-from the same families.
+checked against arithmetic that shares no code with them.  The one
+exception is ``orthant_sweep``, which solves each orthant LP with the
+package's scalar ``solve_lp`` so that its outcome can be compared with
+the batched, pruned sweep bit for bit.  The random instance generators
+live here too so unit and acceptance tests draw from the same families.
 """
 
 import itertools
 
 import numpy as np
 
-from avlprange import AvlpProblem, IntervalMatrix, IntervalVector
+from avlprange import (
+    AvlpProblem,
+    IntervalMatrix,
+    IntervalVector,
+    LpProblem,
+    SignVector,
+    SolveOutcome,
+    Status,
+    solve_lp,
+)
 
 BOX = 1e5
 
@@ -78,6 +89,63 @@ def avlp_oracle(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs, box=BOX):
             if v > best:
                 best = v
     return status, best
+
+
+def orthant_sweep(program, tol=1e-9):
+    """Unpruned reference for ``solve_gen_avlp``: ``(outcome, lps)``.
+
+    Each orthant LP is built as the sweep builds it (the enumerated
+    columns' sign rows, then two epigraph rows ``±x_j - t_j <= 0`` per
+    convex column) and solved on its own with ``solve_lp``; ``lps``
+    holds those outcomes in lexicographic orthant order.  The winner is
+    the first unbounded orthant, else the first with the largest value,
+    and the ties are the optimizers within ``tol * (1 + |value|)`` of
+    it.  Nothing is pruned, batched or chunked.
+    """
+    p, q = program.linear_cost, program.abs_cost
+    G, H, g = program.linear_lhs, program.abs_lhs, program.rhs
+    m, n = G.shape
+    absent = np.all(H == 0.0, axis=0) & (q == 0.0)
+    convex = ~absent & np.all(H >= 0.0, axis=0) & (q <= 0.0)
+    enum = np.flatnonzero(~(absent | convex))
+    conv = np.flatnonzero(convex)
+    k, c = enum.size, conv.size
+    lps, labels = [], []
+    for bits in itertools.product((-1.0, 1.0), repeat=k):
+        s = np.array(bits)
+        if k == c == 0:
+            lhs, rhs, cost = G, g, p
+        else:
+            lhs = np.zeros((m + k + 2 * c, n + c))
+            lhs[:m, :n] = G
+            lhs[:m, enum] = G[:, enum] + H[:, enum] * s
+            lhs[:m, n:] = H[:, conv]
+            lhs[m + np.arange(k), enum] = -s
+            for i, j in enumerate(conv):
+                lhs[m + k + 2 * i, [j, n + i]] = (1.0, -1.0)
+                lhs[m + k + 2 * i + 1, [j, n + i]] = (-1.0, -1.0)
+            rhs = np.concatenate([g, np.zeros(k + 2 * c)])
+            cost = np.concatenate([p, q[conv]])
+            cost[enum] = p[enum] + q[enum] * s
+        out = solve_lp(LpProblem(c=cost, G=lhs, g=rhs), tol)
+        lps.append(out)
+        point = out.ray if out.status is Status.UNBOUNDED else out.x
+        label = np.ones(n) if point is None else np.where(point[:n] < 0, -1.0, 1.0)
+        label[enum] = s
+        labels.append(SignVector(label))
+    values = np.array([out.value for out in lps])
+    best = int(np.argmax(values))
+    winner = lps[best]
+    if winner.status is Status.INFEASIBLE:
+        return SolveOutcome(Status.INFEASIBLE, -np.inf, None, None, None, np.empty((0, n))), lps
+    optimizer = np.full(n, np.nan) if winner.x is None else winner.x[:n]
+    ties = np.empty((0, n))
+    if winner.status is Status.OPTIMAL:
+        window = tol * (1.0 + abs(winner.value))
+        ties = np.array([out.x[:n] for out in lps if out.value >= winner.value - window])
+    ray = None if winner.ray is None else winner.ray[:n]
+    outcome = SolveOutcome(winner.status, float(winner.value), optimizer, labels[best], ray, ties)
+    return outcome, lps
 
 
 def bstable_characterizations(problem, rows):
@@ -191,13 +259,19 @@ def random_lp(rng):
     return G, g, c
 
 
-def random_box_bounded_problem(rng):
+def random_box_bounded_problem(rng, relief=0.0):
     """Interval problem feasible and bounded for every realization.
 
     Rows are perturbed +-e_j pairs, so any point with large norm
     violates some row no matter which member matrices are drawn, and
     the right side stays positive, so the origin is always strictly
     feasible.  n <= 3 and m = 2n <= 6.
+
+    ``inf(D) = relief * sup(D)``.  With the default 0 the worst-case
+    lower program is convex; with a relief near 1, ``inf(D)`` exceeds
+    ``rad(A)`` in some entries, so that program has nonconvex columns
+    and its sweep can tie across orthants.  The draws do not depend on
+    ``relief``.
     """
     n = int(rng.integers(1, 4))
     m = 2 * n
@@ -212,7 +286,7 @@ def random_box_bounded_problem(rng):
         A=IntervalMatrix.from_midrad(rows, rad_a),
         b=IntervalVector.from_midrad(rng.uniform(1.0, 3.0, m), rng.uniform(0.0, 0.2, m)),
         c=IntervalVector.from_midrad(rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, 0.5, n)),
-        D=IntervalMatrix(np.zeros_like(d_sup), d_sup),
+        D=IntervalMatrix(relief * d_sup, d_sup),
     )
 
 

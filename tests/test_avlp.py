@@ -16,7 +16,7 @@ from avlprange import avlp, simplex
 from avlprange.errors import DimensionError
 from avlprange.simplex import _solve_inequality, _solve_inequality_batch
 
-from oracles import avlp_oracle
+from oracles import avlp_oracle, orthant_sweep
 
 
 def _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs):
@@ -43,29 +43,32 @@ def test_nominal_two_variable_instance():
     assert out.orthant.entries == (1, 1)
 
 
-def test_records_cover_all_orthants_in_order():
-    # max |x_1| + |x_2| over a box: both columns are nonconvex, so
-    # every orthant is solved
+def test_ties_cover_all_tied_orthants_in_order():
+    # max |x_1| + |x_2| over a box: both columns are nonconvex, every
+    # orthant is solved and all four tie at their corner of the box
     box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     prog = _program([0.0, 0.0], [1.0, 1.0], box, np.zeros((4, 2)), [1.0, 1.0, 1.0, 1.0])
-    out = solve_gen_avlp(prog, records=True)
-    assert [r.orthant for r in out.records] == all_sign_vectors(2)
+    out = solve_gen_avlp(prog)
     assert out.value == pytest.approx(2.0, abs=1e-12)
+    corners = [s.as_array() for s in all_sign_vectors(2)]
+    assert out.ties.shape == (4, 2)
+    assert np.allclose(out.ties, corners, atol=1e-12)
+    assert np.array_equal(out.ties[0], out.optimizer)
 
 
-def test_no_column_to_enumerate_gives_one_record():
+def test_no_column_to_enumerate_gives_one_tie():
     # x_1 absent, x_2 convex (|x_2| only costs and loosens a row)
     box = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     abs_lhs = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 0.0]]
     prog = _program([1.0, 1.0], [0.0, -0.5], box, abs_lhs, [1.0, 1.0, 2.0, 1.0])
-    out = solve_gen_avlp(prog, records=True)
-    assert len(out.records) == 1
+    out = solve_gen_avlp(prog)
     assert out.status is Status.OPTIMAL
     # x_2 <= 2 - 0.5 x_2 gives x_2 = 4/3, worth 4/3 - 2/3
     assert out.value == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-9)
     assert np.allclose(out.optimizer, [1.0, 4.0 / 3.0], atol=1e-9)
     assert out.orthant.entries == (1, 1)
-    assert out.records[0].orthant == out.orthant
+    assert out.ties.shape == (1, 2)
+    assert np.array_equal(out.ties[0], out.optimizer)
 
 
 def test_tie_keeps_lexicographically_smallest_orthant():
@@ -86,20 +89,25 @@ def test_unbounded_orthant_wins_over_optimal_one():
     assert out.value == np.inf
     assert out.orthant.entries == (1,)
     assert out.ray is not None and out.ray[0] > 0
+    assert out.ties.shape == (0, 1)
 
 
 def test_infeasible_only_when_every_orthant_is():
     prog = _program([0.0], [0.0], [[1.0], [-1.0]], [[0.0], [0.0]], [-1.0, -1.0])
-    out = solve_gen_avlp(prog, records=True)
+    out = solve_gen_avlp(prog)
     assert out.status is Status.INFEASIBLE
     assert out.value == -np.inf
     assert out.optimizer is None
-    assert all(r.status is Status.INFEASIBLE for r in out.records)
+    assert out.ties.shape == (0, 1)
+    assert all(lp.status is Status.INFEASIBLE for lp in orthant_sweep(prog)[1])
 
 
-@pytest.mark.parametrize("records", [False, True])
+@pytest.mark.parametrize("chunked", [False, True])
 @pytest.mark.parametrize("negate", [False, True])
-def test_values_are_python_floats(negate, records):
+def test_values_are_python_floats(negate, chunked, monkeypatch):
+    if chunked:
+        # one orthant LP per chunk: the incumbent is carried across chunks
+        monkeypatch.setattr(avlp, "_CHUNK_BYTES", 1)
     box = ([[1.0], [-1.0]], [[0.0], [0.0]])
     flip = -1.0 if negate else 1.0
     programs = [
@@ -108,9 +116,9 @@ def test_values_are_python_floats(negate, records):
         _program([0.0], [0.0], *box, [-1.0, -1.0]),  # infeasible
     ]
     for prog in programs:
-        out = solve_gen_avlp(prog, records=records)
+        out = solve_gen_avlp(prog)
         assert type(out.value) is float
-        assert all(type(r.value) is float for r in out.records)
+        assert out.ties.dtype == np.float64
 
 
 def test_size_cap():
@@ -151,7 +159,7 @@ def test_agrees_with_boxed_orthant_oracle():
             assert abs(out.value - value) <= 1e-7 * (1.0 + abs(value))
 
 
-def test_optimizer_feasible_and_consistent_with_records():
+def test_optimizer_feasible_and_consistent_with_the_reference_sweep():
     rng = np.random.default_rng(41)
     for _ in range(50):
         n = int(rng.integers(1, 4))
@@ -163,7 +171,8 @@ def test_optimizer_feasible_and_consistent_with_records():
             rng.uniform(-1, 1, (m, n)),
             rng.uniform(0.5, 4, m),
         )
-        out = solve_gen_avlp(prog, records=True)
+        out = solve_gen_avlp(prog)
+        _assert_same_outcome(out, orthant_sweep(prog)[0])
         if out.status is not Status.OPTIMAL:
             continue
         x = out.optimizer
@@ -172,11 +181,12 @@ def test_optimizer_feasible_and_consistent_with_records():
         assert out.value == pytest.approx(
             float(prog.linear_cost @ x + prog.abs_cost @ np.abs(x)), abs=1e-7
         )
-        best_records = max(
-            (r.value for r in out.records if r.status is Status.OPTIMAL),
-            default=-np.inf,
-        )
-        assert out.value == pytest.approx(best_records, abs=1e-9)
+        # every tie is a feasible point worth the optimum, to the window
+        for x in out.ties:
+            lhs = prog.linear_lhs @ x + prog.abs_lhs @ np.abs(x)
+            assert np.all(lhs <= prog.rhs + 1e-7 * (1.0 + np.abs(prog.rhs)))
+            worth = float(prog.linear_cost @ x + prog.abs_cost @ np.abs(x))
+            assert worth >= out.value - 1e-7 * (1.0 + abs(out.value))
 
 
 def test_appending_a_row_never_helps():
@@ -236,9 +246,10 @@ def test_mixed_columns_agree_with_oracle():
                 abs_cost[j] = convex_cost * rng.uniform(0, 1)
         lin_cost = rng.uniform(-2, 2, n)
         prog = _program(flip * lin_cost, flip * abs_cost, lin_lhs, abs_lhs, rhs)
-        out = solve_gen_avlp(prog, records=True)
-        # the default sweep prunes, and must give the same outcome
-        _assert_same_outcome(solve_gen_avlp(prog), out)
+        out = solve_gen_avlp(prog)
+        # the sweep prunes, and must give the unpruned outcome
+        ref, lps = orthant_sweep(prog)
+        _assert_same_outcome(out, ref)
 
         status, value = avlp_oracle(prog.linear_cost, prog.abs_cost, lin_lhs, abs_lhs, rhs)
         assert out.status.value == status
@@ -246,16 +257,12 @@ def test_mixed_columns_agree_with_oracle():
             assert abs(out.value - value) <= 1e-7 * (1.0 + abs(value))
 
         enum = kinds == "nonconvex"
-        assert len(out.records) == 2 ** enum.sum()
-        if enum.any():
-            labels = [tuple(np.array(r.orthant.entries)[enum]) for r in out.records]
-            assert labels == [s.entries for s in all_sign_vectors(int(enum.sum()))]
+        assert len(lps) == 2 ** enum.sum()
         # the unsplit columns are labelled by the sign of the point
-        points = [(r.orthant, r.optimizer) for r in out.records if r.optimizer is not None]
-        if out.status is Status.UNBOUNDED:
-            points.append((out.orthant, out.ray))
-        for label, point in points:
-            assert np.array_equal(np.array(label.entries)[~enum], np.where(point[~enum] >= 0, 1, -1))
+        point = out.ray if out.status is Status.UNBOUNDED else out.optimizer
+        if point is not None:
+            label = np.array(out.orthant.entries)[~enum]
+            assert np.array_equal(label, np.where(point[~enum] >= 0, 1, -1))
         if out.status is Status.OPTIMAL:
             x = out.optimizer
             lhs = prog.linear_lhs @ x + prog.abs_lhs @ np.abs(x)
@@ -283,14 +290,15 @@ def test_pruning_keeps_the_first_of_tied_orthants_across_chunks(monkeypatch):
     monkeypatch.setattr(avlp, "_CHUNK_BYTES", 2 * 8 * (3 + 1) * (9 + 3 + 1))
     monkeypatch.setattr(avlp, "_solve_inequality_batch", batch)
     out = solve_gen_avlp(prog)
-    assert out.records == ()
     assert [len(c) for c in codes] == [2, 2, 2, 2]
     assert simplex._PRUNED in np.concatenate(codes)
-    full = solve_gen_avlp(prog, records=True)
-    _assert_same_outcome(out, full)
+    ref, lps = orthant_sweep(prog)
+    _assert_same_outcome(out, ref)
     assert out.value == 4.0
     assert out.orthant.entries == (-1, -1, 1)
-    assert [r.value for r in full.records] == [2.0, 4.0] * 4
+    assert [lp.value for lp in lps] == [2.0, 4.0] * 4
+    # no tied orthant is pruned, in whichever chunk it lands
+    assert np.array_equal(np.sign(out.ties), [s.as_array() for s in all_sign_vectors(3)][1::2])
 
 
 def test_chunking_never_changes_the_sweep(monkeypatch):
@@ -345,8 +353,8 @@ def test_chunking_never_changes_the_sweep(monkeypatch):
             j = np.flatnonzero(kinds == "nonconvex")[0]
             lin_lhs[:m, j] = lin_cost[j] = 0.0
         prog = _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
-        ref = solve_gen_avlp(prog, records=True)
-        assert len(ref.records) == 2**k
+        ref, lps = orthant_sweep(prog)
+        assert len(lps) == 2**k
         # tableau bytes of one orthant LP, counted as the sweep counts them
         conv = int(np.sum(kinds == "convex"))
         lp_bytes = 8 * (n + conv + 1) * (rows + k + 2 * conv + n + conv + 1)
@@ -358,11 +366,11 @@ def test_chunking_never_changes_the_sweep(monkeypatch):
 
 
 def _assert_same_outcome(got, ref):
-    """Bit-identical sweep outcomes, records aside."""
+    """Bit-identical sweep outcomes, ties included."""
     assert got.status is ref.status
     assert type(got.value) is float and got.value.hex() == ref.value.hex()
     assert got.orthant == ref.orthant
-    for field in ("optimizer", "ray"):
+    for field in ("optimizer", "ray", "ties"):
         a, b = getattr(got, field), getattr(ref, field)
         assert (a is None) == (b is None)
         if a is not None:

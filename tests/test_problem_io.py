@@ -169,3 +169,36 @@ def test_serialized_output_validates_against_problem_schema(example4, docs_dir):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((docs_dir / "problem_schema.json").read_text(encoding="utf-8"))
     jsonschema.validate(serialize_problem(example4, name="again"), schema)
+
+
+def _key_beside_the_form(document):
+    """Give "b" one key of the form it does not use, as "mid" beside
+    "inf"/"sup"; returns that key."""
+    extra = "mid" if "inf" in document["b"] else "inf"
+    document["b"][extra] = document["b"]["rad" if extra == "inf" else "inf"]
+    return extra
+
+
+#: Edits that take a valid problem document out of the schema; each
+#: returns the key the parser's message must name.
+_SCHEMA_VIOLATIONS = {
+    "top-level-key": lambda d: d.update(Dd=d["D"]) or "Dd",
+    "key-beside-the-form": _key_beside_the_form,
+    "non-string-name": lambda d: d.update(name=3) or "name",
+    "non-string-description": lambda d: d.update(description=["text"]) or "description",
+}
+
+
+@pytest.mark.parametrize("edit", _SCHEMA_VIOLATIONS, ids=list(_SCHEMA_VIOLATIONS))
+def test_schema_violations_fail_the_schema_and_the_parser(fixtures_dir, docs_dir, edit):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((docs_dir / "problem_schema.json").read_text(encoding="utf-8"))
+    for name in ("example1", "example2", "example3", "example4"):
+        document = json.loads((fixtures_dir / f"{name}.json").read_text(encoding="utf-8"))
+        jsonschema.validate(document, schema)
+        problem_from_dict(document)
+        named = _SCHEMA_VIOLATIONS[edit](document)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(document, schema)
+        with pytest.raises(InputError, match=f'"{named}"'):
+            problem_from_dict(document)

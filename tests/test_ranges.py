@@ -35,7 +35,7 @@ from avlprange import (
 )
 
 from avlprange import ranges
-from oracles import random_box_bounded_problem, random_stable_problem
+from oracles import orthant_sweep, random_box_bounded_problem, random_stable_problem
 
 
 def _point_problem(A, b, c, D):
@@ -106,7 +106,8 @@ class TestExampleFixtures:
         assert report.lower_tight is False
 
     def test_tightness_certificate_declines_example2(self, example2):
-        assert lower_tightness(example2, SignVector((1, -1))) is False
+        bound = worst_lower_bound(example2)
+        assert lower_tightness(example2, SignVector((1, -1)), bound) is False
 
     def test_unbounded_lower_program(self, example3):
         report = full_range(example3)
@@ -248,7 +249,7 @@ class TestScalarIntervalRow:
 
     def test_certificate_confirms_tightness(self):
         problem = _scalar_interval_problem()
-        assert lower_tightness(problem, SignVector((1,))) is True
+        assert lower_tightness(problem, SignVector((1,)), worst_lower_bound(problem)) is True
         assert full_range(problem).lower_tight is True
 
 
@@ -336,7 +337,7 @@ _TOL_ENTRY_POINTS = [
                                                      tol=tol)),
     ("best_case", lambda p, tol: best_case(p, tol=tol)),
     ("worst_lower_bound", lambda p, tol: worst_lower_bound(p, tol=tol)),
-    ("lower_tightness", lambda p, tol: lower_tightness(p, SignVector((1, 1)), tol=tol)),
+    ("lower_tightness", lambda p, tol: lower_tightness(p, SignVector((1, 1)), 1.5, tol=tol)),
     ("worst_upper_bound", lambda p, tol: worst_upper_bound(p, tol=tol)),
     ("full_range", lambda p, tol: full_range(p, tol=tol)),
     ("verify_b_stability", lambda p, tol: verify_b_stability(p, (0, 1), tol=tol)),
@@ -371,8 +372,9 @@ def test_entry_points_reject_fewer_than_one_iteration(example1, entry):
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_lower_tightness_returns_a_bool(request, name):
     problem = request.getfixturevalue(name)
+    bound = worst_lower_bound(problem)
     for s in all_sign_vectors(problem.n):
-        assert type(lower_tightness(problem, s)) is bool
+        assert type(lower_tightness(problem, s, bound)) is bool
 
 
 def _zero_entry_problem():
@@ -392,14 +394,19 @@ def _zero_entry_problem():
 #: Problems on which ``full_range`` is checked against its parts: the
 #: fixtures, a corner optimizer with a zero entry, a problem with
 #: intervals in one column only, and seeded random box-bounded
-#: instances.  Among the random ones, the upper iteration of random-14
-#: and random-35 revisits the negation of a sign the certificate
-#: solved, so a memo looked up under the wrong sign shows.  In
-#: repeated-corner the certificate and the upper iteration meet signs
-#: that differ only in point-data columns, whose worst corners are
-#: bitwise equal, so a memo keyed by sign solves one of them twice.
-_RANGE_CASES = ["example1", "example2", "example3", "example4", "zero-entry",
-                "repeated-corner"] + [f"random-{i}" for i in range(40)]
+#: instances, with ``inf(D) = 0`` (random-*) and with ``inf(D)`` a
+#: fraction 0.5, 0.9 or 1 of ``sup(D)`` (relief-*), where ``inf(D)``
+#: exceeds ``rad(A)`` and the lower program is nonconvex, some with
+#: optima tied across orthants.  Among the random ones, the upper
+#: iteration of random-14 and random-35 revisits the negation of a sign
+#: the certificate solved, so a memo looked up under the wrong sign
+#: shows.  In repeated-corner the certificate and the upper iteration
+#: meet signs that differ only in point-data columns, whose worst
+#: corners are bitwise equal, so a memo keyed by sign solves one of
+#: them twice.
+_RANGE_CASES = (["example1", "example2", "example3", "example4", "zero-entry",
+                 "repeated-corner"] + [f"random-{i}" for i in range(40)]
+                + [f"relief-{i}" for i in range(24)])
 
 
 def _range_problem(request, name):
@@ -411,6 +418,10 @@ def _range_problem(request, name):
         return _box_point_problem()
     if name == "repeated-corner":
         return parse_problem(Path(__file__).parent / "data" / "repeated_corner_problem.json")
+    if name.startswith("relief"):
+        i = int(name.split("-")[1])
+        relief = (0.5, 0.9, 1.0)[i % 3]
+        return random_box_bounded_problem(np.random.default_rng([63, i]), relief=relief)
     return random_box_bounded_problem(np.random.default_rng([62, int(name.split("-")[1])]))
 
 
@@ -440,6 +451,28 @@ def _restricted_lp(problem, s):
     ))
 
 
+def _attained_in_orthant(problem, s, tol):
+    """Whether the corner at ``s`` attains its optimum in the closed
+    orthant of ``s``: its restricted LP ties its optimum."""
+    out = problem.worst_corner(s).solve(tol=tol)
+    if out.status is not Status.OPTIMAL:
+        return False
+    restricted = _restricted_lp(problem, s)
+    return restricted.status is Status.OPTIMAL and bool(
+        abs(restricted.value - out.value) <= tol * (1.0 + abs(out.value))
+    )
+
+
+def _lower_program(problem):
+    return GenAvlpProgram(
+        linear_cost=problem.c.mid,
+        abs_cost=-problem.c.rad,
+        linear_lhs=problem.A.mid,
+        abs_lhs=problem.A.rad - problem.D.inf,
+        rhs=problem.b.inf,
+    )
+
+
 # on point data the upper iteration's start shares the corner memo
 @pytest.mark.parametrize("name", _RANGE_CASES + ["point"])
 def test_full_range_equals_its_public_parts_bit_for_bit(request, name):
@@ -458,40 +491,25 @@ def test_full_range_equals_its_public_parts_bit_for_bit(request, name):
         _step_bits(step) for step in upper_log
     ]
 
-    # the certificate holds when it holds at any sign tied for the
-    # lower-bound program's optimum, or when an infeasible iterate pins
-    # the worst case at -inf
-    lower = solve_gen_avlp(
-        GenAvlpProgram(
-            linear_cost=problem.c.mid,
-            abs_cost=-problem.c.rad,
-            linear_lhs=problem.A.mid,
-            abs_lhs=problem.A.rad - problem.D.inf,
-            rhs=problem.b.inf,
-        ),
-        records=True,
-    )
-    tied = set()
-    if lower.status is Status.OPTIMAL:
-        window = report.tol * (1.0 + abs(lower.value))
-        tied = {
-            sign_of(record.optimizer)
-            for record in lower.records
-            if record.status is Status.OPTIMAL and record.value >= lower.value - window
-        }
+    # the certificate holds when the corner at a sign tied for the
+    # lower-bound program's optimum attains its optimum in the closed
+    # orthant of that sign, or when an infeasible iterate pins the worst
+    # case at -inf
+    lower, _ = orthant_sweep(_lower_program(problem), tol=report.tol)
+    assert _bits(lower.value) == _bits(worst_lower)
     pinned = worst_lower == -np.inf and any(
         step.status is Status.INFEASIBLE for step in upper_log
     )
-    expected = pinned or any(lower_tightness(problem, s) for s in tied)
+    tied = {sign_of(x) for x in lower.ties}
+    expected = pinned or any(_attained_in_orthant(problem, s, report.tol) for s in tied)
     assert report.lower_tight is expected
 
 
 @pytest.mark.parametrize("name", _RANGE_CASES)
 def test_full_range_solves_each_program_once(request, name, monkeypatch):
     problem = _range_problem(request, name)
-    programs, restricted, certificates = [], [], []
+    programs, lps, certificates = [], [], []
     real_solve = ranges.solve_gen_avlp
-    real_restricted = ranges._solve_inequality
     real_tightness = ranges.lower_tightness
 
     def solve(program, **kwargs):
@@ -501,38 +519,47 @@ def test_full_range_solves_each_program_once(request, name, monkeypatch):
         ))
         return real_solve(program, **kwargs)
 
-    def restricted_lp(*args):
-        restricted.append(args)
-        return real_restricted(*args)
-
     def tightness(problem, s, *args, **kwargs):
-        before = len(restricted)
         verdict = real_tightness(problem, s, *args, **kwargs)
-        certificates.append((s, len(restricted) - before, verdict))
+        certificates.append((s, verdict))
         return verdict
 
     monkeypatch.setattr(ranges, "solve_gen_avlp", solve)
-    monkeypatch.setattr(ranges, "_solve_inequality", restricted_lp)
+    # ranges solves no LP of its own
+    monkeypatch.setattr(ranges, "_solve_inequality", lambda *args: lps.append(args))
     monkeypatch.setattr(ranges, "lower_tightness", tightness)
     report = full_range(problem)
     monkeypatch.undo()
 
     assert len(set(programs)) == len(programs)
-    assert sum(ran for _, ran, _ in certificates) == len(restricted)
-    for s, ran, verdict in certificates:
+    assert lps == []
+    # each tied sign is tried once, and the first that certifies ends
+    # the search
+    signs = [s for s, _ in certificates]
+    assert len(set(signs)) == len(signs)
+    verdicts = [verdict for _, verdict in certificates]
+    assert True not in verdicts[:-1]
+    for s, verdict in certificates:
         out = problem.worst_corner(s).solve(tol=report.tol)
-        if out.status is not Status.OPTIMAL:
-            assert (ran, verdict) == (0, False)
-            continue
-        if not np.all(s.as_array() * out.optimizer >= 0.0):
-            assert ran == 1
-            continue
-        # the corner's optimizer lies in the closed orthant of s, so the
-        # restricted LP was skipped; solved anyway, it ties the corner
-        assert (ran, verdict) == (0, True)
-        direct = _restricted_lp(problem, s)
-        assert direct.status is Status.OPTIMAL
-        assert abs(direct.value - out.value) <= report.tol * (1.0 + abs(out.value))
+        attains = out.status is Status.OPTIMAL and bool(
+            abs(out.value - report.worst_lower) <= report.tol * (1.0 + abs(out.value))
+        )
+        assert verdict is attains
+
+
+@pytest.mark.parametrize("name", _RANGE_CASES)
+def test_restricted_lp_at_every_tied_sign_equals_the_lower_bound(request, name):
+    # the corner at a tied sign s has, on the closed orthant of s, the
+    # rows and cost of the lower-bound program, so its value there is
+    # the lower bound
+    problem = _range_problem(request, name)
+    if name.startswith("relief"):
+        assert np.any(problem.A.rad - problem.D.inf < 0.0)
+    lower = solve_gen_avlp(_lower_program(problem))
+    for s in {sign_of(x) for x in lower.ties}:
+        restricted = _restricted_lp(problem, s)
+        assert restricted.status is Status.OPTIMAL
+        assert abs(restricted.value - lower.value) <= 1e-12 * (1.0 + abs(lower.value))
 
 
 def test_corner_optimizer_with_a_zero_entry_certifies_without_an_lp(monkeypatch):
@@ -542,12 +569,63 @@ def test_corner_optimizer_with_a_zero_entry_certifies_without_an_lp(monkeypatch)
     assert out.status is Status.OPTIMAL
     assert out.optimizer[1] == 0.0
     monkeypatch.setattr(ranges, "_solve_inequality", pytest.fail)
-    assert lower_tightness(problem, s) is True
+    assert lower_tightness(problem, s, worst_lower_bound(problem)) is True
     assert full_range(problem).lower_tight is True
     monkeypatch.undo()
     direct = _restricted_lp(problem, s)
     assert direct.status is Status.OPTIMAL
     assert direct.value == pytest.approx(out.value, rel=1e-9, abs=1e-9)
+
+
+def _tied_signs_problem():
+    """Lower-bound optimum 7/3, tied in four orthants.
+
+    Maximize ``x2`` subject to ``x2 <= 2|x1| + |x3|``, ``|x3| <= 1``,
+    ``x1 >= -2/3`` and ``beta x1 <= 1`` with ``beta`` in ``[0.5, 1.5]``.
+    The lower program takes ``beta = 1.5`` for ``x1 > 0``, so
+    ``|x1| <= 2/3`` and ``x1 = ±2/3``, ``x3 = ±1`` tie.  The worst
+    corner at a sign with ``x1 < 0`` takes ``beta = 0.5`` and reaches
+    ``x1 = 2``; at a sign with ``x1 > 0`` it takes ``beta = 1.5`` and
+    attains the bound.
+    """
+    a_mid = [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    a_rad = np.zeros((5, 3))
+    a_rad[2, 0] = 0.5
+    relief = np.zeros((5, 3))
+    relief[0] = [2.0, 0.0, 1.0]
+    return AvlpProblem(
+        A=IntervalMatrix.from_midrad(a_mid, a_rad),
+        b=IntervalVector.from_point([0.0, 2.0 / 3.0, 1.0, 1.0, 1.0]),
+        c=IntervalVector.from_point([0.0, 1.0, 0.0]),
+        D=IntervalMatrix.from_point(relief),
+    )
+
+
+def test_tied_signs_are_tried_in_order_until_one_certifies(monkeypatch):
+    problem = _tied_signs_problem()
+    lower = solve_gen_avlp(_lower_program(problem))
+    assert lower.value == pytest.approx(7.0 / 3.0, abs=1e-12)
+    tied = [sign_of(x).entries for x in lower.ties]
+    assert tied == [(-1, 1, -1), (-1, 1, 1), (1, 1, -1), (1, 1, 1)]
+    tried = []
+    real_tightness = ranges.lower_tightness
+
+    def tightness(problem, s, *args, **kwargs):
+        verdict = real_tightness(problem, s, *args, **kwargs)
+        tried.append((s.entries, verdict))
+        return verdict
+
+    monkeypatch.setattr(ranges, "lower_tightness", tightness)
+    report = ranges.worst_range(problem)
+    monkeypatch.undo()
+    assert tried == [((-1, 1, -1), False), ((-1, 1, 1), False), ((1, 1, -1), True)]
+    assert report.lower_tight is True
+    assert report.worst_lower == lower.value
+    assert report.worst_upper == pytest.approx(7.0 / 3.0, abs=1e-9)
+    # the fourth tied sign would certify too
+    assert real_tightness(problem, SignVector((1, 1, 1)), lower.value) is True
+    assert problem.worst_corner(SignVector((-1, 1, 1))).solve().value == pytest.approx(5.0)
 
 
 @settings(max_examples=60, deadline=None, database=None)
