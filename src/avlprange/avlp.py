@@ -30,10 +30,12 @@ in lexicographic chunks and pivoted in lockstep by
 scalar kernel would give.  An LP that needs one of the scalar kernel's
 rare branches (a drifted phase one, the feasibility probe, a redundant
 row, the iteration limit) is handed back and re-solved by
-``simplex._solve_inequality``.  A single LP is always solved by the
-scalar kernel, which is faster for one.  The sweep keeps its outcomes
-as arrays and picks the winner from them; it builds one sign vector,
-for the winner, and lists the optimizers of the orthants that tie it.
+``simplex._solve_inequality``.  A program with no enumerated column
+is one LP, for which the scalar kernel is faster: its outcome is built
+straight from that LP's, with none of the sweep's bookkeeping.  The
+sweep keeps its outcomes as arrays and picks the winner from them; it
+builds one sign vector, for the winner, and lists the optimizers of the
+orthants that tie it.
 
 The sweep also prunes.  In phase two each orthant LP's tableau is dual
 feasible, so its objective bounds that orthant's optimum from above.
@@ -105,6 +107,16 @@ class GenAvlpProgram:
         object.__setattr__(self, "abs_lhs", H)
         object.__setattr__(self, "rhs", g)
 
+    @classmethod
+    def _trusted(cls, linear_cost, abs_cost, linear_lhs, abs_lhs, rhs) -> "GenAvlpProgram":
+        """A program from float arrays already known to be finite and of
+        consistent shapes, built without checking them again."""
+        program = object.__new__(cls)
+        for name, value in (("linear_cost", linear_cost), ("abs_cost", abs_cost),
+                            ("linear_lhs", linear_lhs), ("abs_lhs", abs_lhs), ("rhs", rhs)):
+            object.__setattr__(program, name, value)
+        return program
+
     @property
     def m(self) -> int:
         return self.rhs.shape[0]
@@ -150,17 +162,34 @@ class SolveOutcome:
         return sign_of(self.optimizer)
 
 
-def _column_kinds(abs_lhs: np.ndarray, abs_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the convex and of the enumerated columns of a max.
+def _lp_data(
+    program: GenAvlpProgram, conv: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, right-hand side and cost of the LP the program lifts to.
 
-    A column without any ``|x_j|`` term needs nothing.  A column whose
-    ``|x_j|`` only loosens rows and costs (``abs_lhs[:, j] >= 0``,
-    ``abs_cost[j] <= 0``) is convex; every other column is enumerated.
+    The variables are ``(x, t)``, with one epigraph variable
+    ``t_i >= |x_conv[i]|`` per convex column.  The rows are the
+    program's rows, then ``k`` zero rows that each orthant turns into
+    the sign row of an enumerated column, then the two epigraph rows of
+    each convex column.  Without either, the LP is the program's own.
     """
-    absent = np.all(abs_lhs == 0.0, axis=0) & (abs_cost == 0.0)
-    convex = ~absent & np.all(abs_lhs >= 0.0, axis=0) & (abs_cost <= 0.0)
-    enumerated = ~(absent | convex)
-    return np.flatnonzero(convex), np.flatnonzero(enumerated)
+    m, n, c = program.m, program.n, conv.size
+    if k == c == 0:
+        return program.linear_lhs, program.rhs, program.linear_cost
+    lhs = np.zeros((m + k + 2 * c, n + c))
+    lhs[:m, :n] = program.linear_lhs
+    rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
+    if not c:
+        return lhs, rhs, program.linear_cost
+    lhs[:m, n:] = program.abs_lhs[:, conv]
+    lower = m + k + 2 * np.arange(c)
+    t_cols = n + np.arange(c)
+    lhs[lower, conv] = 1.0
+    lhs[lower + 1, conv] = -1.0
+    lhs[lower, t_cols] = -1.0
+    lhs[lower + 1, t_cols] = -1.0
+    cost = np.concatenate([program.linear_cost, program.abs_cost[conv]])
+    return lhs, rhs, cost
 
 
 def solve_gen_avlp(
@@ -171,11 +200,14 @@ def solve_gen_avlp(
     """Solve a generalized program by orthant decomposition over the
     columns with a nonconvex ``|x|`` term.
 
-    The orthant LPs are solved in lockstep chunks of at most
-    ``_CHUNK_BYTES`` of tableau; those the batch hands back, and the
-    single LP of a program with no enumerated column, go to the scalar
-    kernel.  The winner is the first unbounded orthant, else the first
-    orthant with the largest value.
+    A column is enumerated unless its ``|x_j|`` only loosens rows and
+    costs (``abs_lhs[:, j] >= 0``, ``abs_cost[j] <= 0``), which includes
+    a column without ``|x_j|`` terms.  A program with no enumerated
+    column is one LP, which the scalar kernel solves.  Otherwise the
+    orthant LPs are solved in lockstep chunks of at most
+    ``_CHUNK_BYTES`` of tableau, and those the batch hands back go to
+    the scalar kernel.  The winner is the first unbounded orthant, else
+    the first orthant with the largest value.
 
     The batch prunes in phase two every orthant LP whose optimum
     provably lies below the best optimum found so far in the sweep by
@@ -200,27 +232,26 @@ def solve_gen_avlp(
     q = program.abs_cost
     G = program.linear_lhs
     H = program.abs_lhs
-    conv, enum = _column_kinds(H, q)
+    enumerated = (H < 0.0).any(axis=0) | (q > 0.0)
+    # columns with an |x| term that are not enumerated are convex
+    conv = np.flatnonzero(~enumerated & (H.any(axis=0) | (q != 0.0)))
 
-    m, k, c = program.m, enum.size, conv.size
-    if k == c == 0:
-        # one LP on the program's own rows: nothing to lift
-        lhs, rhs, cost = G, program.rhs, p
-    else:
-        # variables (x, t) with one epigraph variable t_i >= |x_conv[i]|;
-        # rows: program rows, one sign row per enumerated column, then
-        # the two epigraph rows of each convex column
-        lhs = np.zeros((m + k + 2 * c, n + c))
-        lhs[:m, :n] = G
-        lhs[:m, n:] = H[:, conv]
-        lower = m + k + 2 * np.arange(c)
-        t_cols = n + np.arange(c)
-        lhs[lower, conv] = 1.0
-        lhs[lower + 1, conv] = -1.0
-        lhs[lower, t_cols] = -1.0
-        lhs[lower + 1, t_cols] = -1.0
-        rhs = np.concatenate([program.rhs, np.zeros(k + 2 * c)])
-        cost = np.concatenate([p, q[conv]])
+    if not enumerated.any():
+        core = _solve_inequality(*_lp_data(program, conv, 0), tol)
+        if core.status is Status.INFEASIBLE:
+            return SolveOutcome(Status.INFEASIBLE, core.value, None, None, None, np.empty((0, n)))
+        point = core.x[:n]
+        if core.status is Status.UNBOUNDED:
+            ray = core.ray[:n]
+            # a feasible point, no optimum to tie
+            return SolveOutcome(Status.UNBOUNDED, core.value, point, sign_of(ray), ray,
+                                np.empty((0, n)))
+        return SolveOutcome(Status.OPTIMAL, core.value, point, sign_of(point), None,
+                            point[None].copy())
+
+    enum = np.flatnonzero(enumerated)
+    m, k = program.m, enum.size
+    lhs, rhs, cost = _lp_data(program, conv, k)
 
     # per orthant, in lexicographic order: the LP value (+inf
     # unbounded, -inf infeasible or pruned), the point (nan when there
@@ -229,68 +260,53 @@ def solve_gen_avlp(
     points = np.full((2**k, n), np.nan)
     rays: dict[int, np.ndarray] = {}
 
-    def scalar(i: int, G_i: np.ndarray, c_i: np.ndarray) -> None:
-        core = _solve_inequality(G_i, rhs, c_i, tol)
-        values[i] = core.value
-        if core.x is not None:
-            points[i] = core.x[:n]
-        if core.ray is not None:
-            rays[i] = core.ray[:n]
-
     # enumerated column t takes bit k-1-t of the orthant's index, so
     # index order is lexicographic sign order
     shifts = np.arange(k - 1, -1, -1)
-    if k == 0:
-        # a single LP, for which the scalar kernel is faster
-        scalar(0, lhs, cost)
-    else:
-        rows, cols = lhs.shape
-        chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
-        incumbent = -np.inf
-        # enumerated column t of G + H diag(s), as a row: G - H where
-        # s_t = -1 (bit 0) and G + H where s_t = +1 (bit 1), bit for bit
-        choices = np.stack([(G - H)[:, enum].T, (G + H)[:, enum].T])
-        for start in range(0, 2**k, chunk):
-            stop = min(start + chunk, 2**k)
-            bits = (np.arange(start, stop)[:, None] >> shifts) & 1
-            signs = np.where(bits, 1.0, -1.0)
-            # built as (orthant, column, row), the layout the dual
-            # tableaux read, and passed as its (orthant, row, column) view
-            lhs_stack = np.broadcast_to(lhs.T, (stop - start, cols, rows)).copy()
-            lhs_stack[:, enum, :m] = choices[bits, np.arange(k)]
-            lhs_stack[:, enum, m + np.arange(k)] = -signs
-            lhs_stack = lhs_stack.transpose(0, 2, 1)
-            cost_stack = np.broadcast_to(cost, (stop - start, cols)).copy()
-            cost_stack[:, enum] = p[enum] + q[enum] * signs
-            batch = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
-            values[start:stop] = batch.value
-            points[start:stop] = batch.x[:, :n]
-            for i in np.flatnonzero(batch.code == _HANDED_BACK):
-                # a rare branch of the scalar kernel
-                scalar(start + i, lhs_stack[i], cost_stack[i])
-            done = values[start:stop]
-            incumbent = max(incumbent, done[np.isfinite(done)].max(initial=-np.inf))
+    rows, cols = lhs.shape
+    chunk = max(1, _CHUNK_BYTES // (8 * (cols + 1) * (rows + cols + 1)))
+    incumbent = -np.inf
+    # enumerated column t of G + H diag(s), as a row: G - H where
+    # s_t = -1 (bit 0) and G + H where s_t = +1 (bit 1), bit for bit
+    choices = np.stack([(G - H)[:, enum].T, (G + H)[:, enum].T])
+    for start in range(0, 2**k, chunk):
+        stop = min(start + chunk, 2**k)
+        bits = (np.arange(start, stop)[:, None] >> shifts) & 1
+        signs = np.where(bits, 1.0, -1.0)
+        # built as (orthant, column, row), the layout the dual
+        # tableaux read, and passed as its (orthant, row, column) view
+        lhs_stack = np.broadcast_to(lhs.T, (stop - start, cols, rows)).copy()
+        lhs_stack[:, enum, :m] = choices[bits, np.arange(k)]
+        lhs_stack[:, enum, m + np.arange(k)] = -signs
+        lhs_stack = lhs_stack.transpose(0, 2, 1)
+        cost_stack = np.broadcast_to(cost, (stop - start, cols)).copy()
+        cost_stack[:, enum] = p[enum] + q[enum] * signs
+        batch = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
+        values[start:stop] = batch.value
+        points[start:stop] = batch.x[:, :n]
+        for i in np.flatnonzero(batch.code == _HANDED_BACK):
+            # a rare branch of the scalar kernel
+            core = _solve_inequality(lhs_stack[i], rhs, cost_stack[i], tol)
+            values[start + i] = core.value
+            if core.x is not None:
+                points[start + i] = core.x[:n]
+            if core.ray is not None:
+                rays[start + i] = core.ray[:n]
+        done = values[start:stop]
+        incumbent = max(incumbent, done[np.isfinite(done)].max(initial=-np.inf))
 
     best = int(np.argmax(values))
     value = float(values[best])
     if value == -np.inf:
-        return SolveOutcome(
-            status=Status.INFEASIBLE,
-            value=value,
-            optimizer=None,
-            orthant=None,
-            ray=None,
-            ties=np.empty((0, n)),
-        )
+        return SolveOutcome(Status.INFEASIBLE, value, None, None, None, np.empty((0, n)))
     if value == np.inf:
         status, ties = Status.UNBOUNDED, np.empty((0, n))
     else:
         status, ties = Status.OPTIMAL, points[values >= value - tol * (1.0 + abs(value))]
     # unsplit columns take the sign of the point (of the ray when
-    # unbounded)
+    # unbounded), enumerated ones the orthant's
     label = np.where(rays.get(best, points[best]) < 0, -1.0, 1.0)
-    if k:
-        label[enum] = np.where((best >> shifts) & 1, 1.0, -1.0)
+    label[enum] = np.where((best >> shifts) & 1, 1.0, -1.0)
     return SolveOutcome(
         status=status,
         value=value,

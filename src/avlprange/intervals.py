@@ -20,8 +20,9 @@ Two member selectors pick structured points of an interval quantity:
 * ``realize_s(c, s)`` picks ``mid + diag(s) @ rad`` from an interval
   vector.
 
-The corner realizations of a whole problem are built from these by
-``AvlpProblem.best_corner`` and ``AvlpProblem.worst_corner``.
+``AvlpProblem.best_corner`` and ``AvlpProblem.worst_corner`` build the
+corner realizations of a whole problem with the same formula at ``+-1``
+selectors, bit for bit.
 
 Sign conventions: the sign of zero is ``+1`` everywhere in this package.
 
@@ -263,7 +264,7 @@ class SignVector:
     def from_point(cls, x) -> "SignVector":
         """Signs of a real vector with sign(0) = +1."""
         x = _as_float_array(x, 1, "point")
-        return cls(tuple(1 if v >= 0 else -1 for v in x))
+        return cls(tuple(1 if v >= 0 else -1 for v in x.tolist()))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -18,7 +18,11 @@ of an optimizer of the lower-bound program.  Both the certificate and
 the iteration solve such corners, and they often meet the same
 realization.  ``full_range`` shares one memo of outcomes, keyed by the
 realization's data, between them, so each distinct realization is
-solved once per analysis.  This module solves no LP of its own.
+solved once per analysis.  Both carry a realization as its four arrays
+(``AvlpProblem._worst_corner_arrays`` for a corner) and build its
+program without validating data that comes from a validated problem;
+the only ``Realization`` they build is the reported upper witness.
+This module solves no LP of its own.
 """
 
 from __future__ import annotations
@@ -42,10 +46,9 @@ from .intervals import (
     SignVector,
     _array_fields_eq,
     _as_float_array,
+    _check_finite,
     _check_tolerances,
     _freeze,
-    realize_rs,
-    realize_s,
     sign_of,
 )
 from .simplex import Status
@@ -110,12 +113,8 @@ class AvlpProblem:
         Matrix ``mid(A) - rad(A) diag(s)``, cost ``mid(c) + diag(s)
         rad(c)``, and the permissive bounds ``sup(b)``, ``sup(D)``.
         """
-        return Realization(
-            A=realize_rs(self.A, np.ones(self.m), s),
-            b=self.b.sup,
-            c=realize_s(self.c, s),
-            D=self.D.sup,
-        )
+        A, c = self._picks(s.as_array())
+        return Realization(A=A, b=self.b.sup, c=c, D=self.D.sup)
 
     def worst_corner(self, s: SignVector) -> "Realization":
         """Corner realization of the worst case at sign ``s``.
@@ -128,15 +127,22 @@ class AvlpProblem:
     def _worst_corner_arrays(
         self, s: SignVector
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``A``, ``b``, ``c``, ``D`` of ``worst_corner(s)``, for a
-        caller that edits them before building one ``Realization``."""
-        flipped = s.negate()
-        return (
-            realize_rs(self.A, np.ones(self.m), flipped),
-            self.b.inf,
-            realize_s(self.c, flipped),
-            self.D.inf,
-        )
+        """``A``, ``b``, ``c``, ``D`` of ``worst_corner(s)``, without
+        building a ``Realization``."""
+        A, c = self._picks(-s.as_array())
+        return A, self.b.inf, c, self.D.inf
+
+    def _picks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Matrix ``mid(A) - rad(A) diag(t)`` and cost ``mid(c) +
+        diag(t) rad(c)`` for signs ``t``: each entry is ``inf`` or
+        ``sup``, by the formula of ``realize_rs`` and ``realize_s``
+        (weights ``(1 + t) / 2`` and ``(1 - t) / 2`` on ``inf``), bit
+        for bit."""
+        if t.shape[0] != self.n:
+            raise DimensionError(f"column selector must have length {self.n}, got {len(t)}")
+        w = 0.5 * (1.0 + t)
+        v = 0.5 * (1.0 - t)
+        return w * self.A.inf + (1.0 - w) * self.A.sup, v * self.c.inf + (1.0 - v) * self.c.sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,27 +277,34 @@ def worst_lower_bound(
     return out.value
 
 
+#: A realization's ``A``, ``b``, ``c`` and ``D``.
+_Corner = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _solve_corner(
-    corner: Realization,
+    corner: _Corner,
     tol: float,
     orthant_cap: int,
     corners: dict[bytes, SolveOutcome] | None,
 ) -> SolveOutcome:
-    """Outcome of ``corner.program()``.
+    """Outcome of the program of the realization with data ``corner``.
 
-    With a memo ``corners`` each realization is solved once: the same
-    data at the same ``tol`` and ``orthant_cap`` always gives the same
-    outcome.  The key is the bytes of ``A``, ``b``, ``c`` and ``D``,
-    whose shapes are fixed for one problem.
+    The data comes from a validated problem, so the program is built
+    without checking it again.  With a memo ``corners`` each
+    realization is solved once: the same data at the same ``tol`` and
+    ``orthant_cap`` always gives the same outcome.  The key is the
+    bytes of the four arrays, whose shapes are fixed for one problem.
     """
-    if corners is None:
-        return solve_gen_avlp(corner.program(), tol=tol, orthant_cap=orthant_cap)
-    key = b"".join(x.tobytes() for x in (corner.A, corner.b, corner.c, corner.D))
-    out = corners.get(key)
+    key = b"".join(x.tobytes() for x in corner)
+    out = None if corners is None else corners.get(key)
     if out is None:
-        out = corners[key] = solve_gen_avlp(
-            corner.program(), tol=tol, orthant_cap=orthant_cap
+        A, b, c, D = corner
+        program = GenAvlpProgram._trusted(
+            linear_cost=c, abs_cost=np.zeros(c.shape[0]), linear_lhs=A, abs_lhs=-D, rhs=b
         )
+        out = solve_gen_avlp(program, tol=tol, orthant_cap=orthant_cap)
+        if corners is not None:
+            corners[key] = out
     return out
 
 
@@ -321,7 +334,7 @@ def lower_tightness(
     ``_corners`` is ``full_range``'s memo of corner outcomes.
     """
     _check_tolerances(tol)
-    out = _solve_corner(problem.worst_corner(s_star), tol, orthant_cap, _corners)
+    out = _solve_corner(problem._worst_corner_arrays(s_star), tol, orthant_cap, _corners)
     return out.status is Status.OPTIMAL and bool(
         abs(out.value - worst_lower) <= tol * (1.0 + abs(out.value))
     )
@@ -350,11 +363,13 @@ def worst_upper_bound(
     outcomes.
     """
     _check_tolerances(tol, max_iters)
-    current = Realization(
-        A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
-    )
+    current: _Corner = (problem.A.mid, problem.b.inf, problem.c.mid, problem.D.inf)
+    # a corner takes each entry from inf or sup, but a midpoint of two
+    # huge endpoints can overflow
+    _check_finite(current[0], "A")
+    _check_finite(current[2], "c")
     bound = np.inf
-    witness: Realization | None = None
+    witness: _Corner | None = None
     log: list[IterationStep] = []
     visited: set[tuple[int, ...]] = set()
 
@@ -382,9 +397,9 @@ def worst_upper_bound(
         if s.entries in visited:
             break
         visited.add(s.entries)
-        current = problem.worst_corner(s)
+        current = problem._worst_corner_arrays(s)
 
-    return bound, witness, tuple(log)
+    return bound, None if witness is None else Realization(*witness), tuple(log)
 
 
 def sample_realization(problem: AvlpProblem, rng: np.random.Generator) -> Realization:

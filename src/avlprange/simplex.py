@@ -128,14 +128,13 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
     """Two-phase tableau simplex on ``min c @ z, A z = b, z >= 0``."""
     k, ncols_orig = A.shape
     sign = np.where(b < 0, -1.0, 1.0)
-    a1 = A * sign[:, None]
     b1 = b * sign
 
     width = ncols_orig + k
     T = np.zeros((k + 1, width + 1))
-    T[:k, :ncols_orig] = a1
-    rows_idx = np.arange(k)
-    T[rows_idx, ncols_orig + rows_idx] = 1.0
+    a1 = T[:k, :ncols_orig]
+    np.multiply(A, sign[:, None], out=a1)
+    np.fill_diagonal(T[:k, ncols_orig:width], 1.0)
     T[:k, -1] = b1
     basis = list(range(ncols_orig, width))
     active = [True] * k
@@ -151,11 +150,11 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
             rc = T[k, :ncols_orig]
             if degenerate <= bland_after:
                 # most negative reduced cost, lowest index on ties
-                j = int(np.argmin(rc))
+                j = int(rc.argmin())
                 if rc[j] >= -tol:
                     return None
             else:
-                j = int(np.argmax(rc < -tol))  # Bland: first eligible
+                j = int((rc < -tol).argmax())  # Bland: first eligible
                 if rc[j] >= -tol:
                     return None
             # the ratio test on Python floats: a tableau has few rows,
@@ -183,7 +182,7 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
         raise NumericalError("numerical-failure: simplex iteration limit exceeded")
 
     # phase 1: drive the artificials out
-    T[k, :ncols_orig] = -a1.sum(axis=0)
+    _phase_one_costs(a1, T[k, :ncols_orig])
     T[k, -1] = -b1.sum()
     entering = run_phase()
     if entering is not None:
@@ -197,7 +196,7 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
     if entering is not None:
         raise NumericalError("numerical-failure: phase one reported unbounded")
     infeas = -T[k, -1]
-    feas_tol = 1e-7 * (1.0 + float(np.max(np.abs(b1), initial=0.0)))
+    feas_tol = 1e-7 * (1.0 + float(np.abs(b1).max(initial=0.0)))
     if infeas > feas_tol:
         p = 1.0 - T[k, ncols_orig:width]
         return _StdResult(Status.INFEASIBLE, farkas=sign * p, value=np.inf)
@@ -224,9 +223,11 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
             dropped += 1
 
     # phase 2 under the real costs
+    kept = np.array(active)
     costrow = np.zeros(width + 1)
     costrow[:ncols_orig] = c
-    coeffs = np.array([c[basis[r]] if active[r] else 0.0 for r in range(k)])
+    coeffs = np.zeros(k)
+    coeffs[kept] = c[np.array(basis)[kept]]
     costrow -= coeffs @ T[:k]
     T[k] = costrow
     entering = run_phase()
@@ -241,12 +242,10 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
         return _StdResult(Status.UNBOUNDED, ray=ray, value=-np.inf, dropped=dropped)
 
     z = np.zeros(ncols_orig)
-    for r in range(k):
-        if active[r]:
-            z[basis[r]] = T[r, -1]
+    z[np.array(basis)[kept]] = T[:k, -1][kept]
     small = np.abs(z) < 1e2 * tol
     z[small] = np.maximum(z[small], 0.0)
-    p = np.where(active, -T[k, ncols_orig:width], 0.0)
+    p = np.where(kept, -T[k, ncols_orig:width], 0.0)
     return _StdResult(
         Status.OPTIMAL,
         z=z,
@@ -255,6 +254,21 @@ def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float) -> 
         value=float(c @ z),
         dropped=dropped,
     )
+
+
+def _phase_one_costs(a1: np.ndarray, out: np.ndarray) -> None:
+    """Write phase one's reduced costs, minus the sum of the rows of
+    ``a1`` (its second-to-last axis), into ``out``.
+
+    The rows are added one after another in index order, so the scalar
+    kernel (one tableau) and the lockstep kernel (a stack) get the same
+    bits at any row count and memory layout; numpy's own sum would add
+    a contiguous axis pairwise and a strided one row by row.
+    """
+    np.copyto(out, a1[..., 0, :])
+    for i in range(1, a1.shape[-2]):
+        out += a1[..., i, :]
+    np.negative(out, out=out)
 
 
 def _pivot(T: np.ndarray, basis: list[int], r: int, j: int) -> None:
@@ -276,10 +290,8 @@ def _solve_inequality(
     """Internal fast path for ``max c @ x, G x <= g``.  No input
     validation."""
     n = G.shape[1]
-    # the dual's columns are the rows of G, one to one; C order for G
-    # makes the dual's rows contiguous, so the phase-one column sums
-    # take the same order whatever the layout G comes in
-    dual = np.ascontiguousarray(G).T
+    # the dual's columns are the rows of G, one to one
+    dual = G.T
     res = _solve_standard(dual, c, g, tol)
     if res.status is Status.OPTIMAL:
         x = res.multipliers
@@ -348,29 +360,43 @@ def _run_phase_batch(
         Tw, bw = T, basis
     else:
         Tw, bw = T[live], basis[live]
+    # buffers for the rank-one update and the ratio test (inf where a
+    # row is not eligible), cut down as the working set shrinks
     scratch = np.empty_like(Tw)
-    degenerate = np.zeros(len(live), dtype=int)
-    for _ in range(limit if live.size else 0):
-        at = np.arange(len(live))
-        rc = Tw[:, k, :ncols]
-        j = np.argmin(rc, axis=1)
-        bland = degenerate > bland_after
-        if bland.any():
-            # Bland: first eligible column
-            j[bland] = np.argmax(rc[bland] < -tol, axis=1)
-        optimal = rc[at, j] >= -tol
-        col = Tw[at, :k, j]
+    ratio_buf = np.empty((len(live), k))
+    # each LP's last step with a nondegenerate pivot: its run of
+    # degenerate pivots is the steps since, so it can pass bland_after
+    # only after bland_after steps
+    settled = np.full(len(live), -1)
+    at = np.arange(len(live))
+    # views of the working set: reduced costs, rhs and objective
+    rc, rhs, obj = Tw[:, k, :ncols], Tw[:, :k, -1], Tw[:, k, -1]
+    for step in range(limit if live.size else 0):
+        j = rc.argmin(1)
+        if step > bland_after:
+            bland = step - 1 - settled > bland_after
+            if bland.any():
+                # Bland: first eligible column
+                j[bland] = (rc[bland] < -tol).argmax(1)
+        # the entering column, cost row included
+        colj = Tw[at, :, j]
+        optimal = colj[:, k] >= -tol
+        col = colj[:, :k]
         eligible = col > _PIVOT_FLOOR
-        ratio = np.divide(Tw[:, :k, -1], col, out=np.full(col.shape, np.inf), where=eligible)
-        no_row = ~optimal & ~eligible.any(axis=1)
+        ratio = ratio_buf
+        ratio.fill(np.inf)
+        np.divide(rhs, col, out=ratio, where=eligible)
+        no_row = ~(optimal | eligible.any(1))
         finished = optimal | no_row
         dropped = finished
         if incumbent is not None:
-            bound = -Tw[:, k, -1]
-            incumbent = max(incumbent, bound[optimal].max(initial=-np.inf))
-            pruned = ~finished & (bound < incumbent - tol * (1.0 + abs(incumbent)))
-            outcome[live[pruned]] = -3
-            dropped = finished | pruned
+            # the bound is -obj, so bound < cut is obj > -cut
+            incumbent = max(incumbent, -obj[optimal].min(initial=np.inf))
+            pruned = obj > -(incumbent - tol * (1.0 + abs(incumbent)))
+            if pruned.any():
+                pruned &= ~finished
+                outcome[live[pruned]] = -3
+                dropped = finished | pruned
         if dropped.any():
             outcome[live[optimal]] = -1
             outcome[live[no_row]] = j[no_row]
@@ -378,23 +404,25 @@ def _run_phase_batch(
                 T[live[finished]] = Tw[finished]
                 basis[live[finished]] = bw[finished]
             keep = ~dropped
-            live, Tw, bw, degenerate = live[keep], Tw[keep], bw[keep], degenerate[keep]
+            live, Tw, bw, settled = live[keep], Tw[keep], bw[keep], settled[keep]
             if not live.size:
                 return outcome
-            at, j, eligible, ratio = at[: live.size], j[keep], eligible[keep], ratio[keep]
-        theta = ratio.min(axis=1)
+            at, scratch, ratio_buf = at[: live.size], scratch[: live.size], ratio_buf[: live.size]
+            rc, rhs, obj = Tw[:, k, :ncols], Tw[:, :k, -1], Tw[:, k, -1]
+            j, colj, eligible, ratio = j[keep], colj[keep], eligible[keep], ratio[keep]
+        theta = ratio.min(1)
         cutoff = theta + 1e-12 * (1.0 + np.abs(theta))
-        ties = eligible & (ratio <= cutoff[:, None])
-        r = np.argmin(np.where(ties, bw, width), axis=1)
-        degenerate = np.where(theta <= tol, degenerate + 1, 0)
-        # _pivot on every live tableau, in its order; np.einsum forms
-        # the rank-one update faster than a broadcast multiply
+        r = np.where(eligible & (ratio <= cutoff[:, None]), bw, width).argmin(1)
+        settled[theta > tol] = step
+        # _pivot on every live tableau, in its order; the entering
+        # column read above stands in for the one after the pivot row
+        # is divided, since only row r, zeroed here, changed.  np.einsum
+        # forms the rank-one update faster than a broadcast multiply
         prow = Tw[at, r]
         prow /= prow[at, j][:, None]
         Tw[at, r] = prow
-        colvals = Tw[at, :, j]
-        colvals[at, r] = 0.0
-        Tw -= np.einsum("bi,bj->bij", colvals, prow, out=scratch[: live.size])
+        colj[at, r] = 0.0
+        Tw -= np.einsum("bi,bj->bij", colj, prow, out=scratch)
         Tw[at, :, j] = 0.0
         Tw[at, r, j] = 1.0
         bw[at, r] = j
@@ -462,18 +490,15 @@ def _solve_inequality_batch(
     np.multiply(G_stack.transpose(0, 2, 1), sign[:, :, None], out=a1)
     T[:, np.arange(n), m + np.arange(n)] = 1.0
     T[:, :n, -1] = b1
-    # numpy sums a contiguous axis pairwise and a strided one row by
-    # row; the scalar kernel sums its dual's rows along a contiguous
-    # axis, so these sums do too
-    T[:, n, :m] = -np.ascontiguousarray(a1.transpose(0, 2, 1)).sum(axis=2)
+    _phase_one_costs(a1, T[:, n, :m])
     T[:, n, -1] = -b1.sum(axis=1)
     basis = np.broadcast_to(np.arange(m, width), (B, n)).copy()
     limit = 50 * (n + m) + 20
     bland_after = 3 * (n + m)
 
     phase_one = _run_phase_batch(T, basis, m, tol, limit, bland_after)
-    feas_tol = 1e-7 * (1.0 + np.max(np.abs(b1), axis=1))
-    ok = (phase_one == -1) & (-T[:, n, -1] <= feas_tol) & np.all(basis < m, axis=1)
+    feas_tol = 1e-7 * (1.0 + np.abs(b1).max(1))
+    ok = (phase_one == -1) & (-T[:, n, -1] <= feas_tol) & (basis < m).all(1)
     # phase two runs on the same stack; the handed-back LPs sit it out
     (go,) = np.nonzero(ok)
     at = slice(None) if go.size == B else go
@@ -494,7 +519,7 @@ def _solve_inequality_batch(
     (b,) = np.nonzero(phase_two == -1)
     x = sign[b] * -T[b, n, m:width]
     z = np.zeros((len(b), m))
-    np.put_along_axis(z, basis[b], T[b, :n, -1], axis=1)
+    z[np.arange(len(b))[:, None], basis[b]] = T[b, :n, -1]
     small = np.abs(z) < 1e2 * tol
     z[small] = np.maximum(z[small], 0.0)
     out.code[b] = _OPTIMAL
@@ -505,17 +530,19 @@ def _solve_inequality_batch(
 
     # dual unbounded below: the primal is infeasible
     (b,) = np.nonzero(phase_two >= 0)
-    j = phase_two[b]
-    ray = np.zeros((len(b), m))
-    np.put_along_axis(ray, basis[b], -T[b, :n, j], axis=1)
-    ray[np.arange(len(b)), j] = 1.0
-    out.code[b] = _INFEASIBLE
-    out.value[b] = -np.inf
-    out.certificate[b] = ray
+    if b.size:
+        j = phase_two[b]
+        ray = np.zeros((len(b), m))
+        ray[np.arange(len(b))[:, None], basis[b]] = -T[b, :n, j]
+        ray[np.arange(len(b)), j] = 1.0
+        out.code[b] = _INFEASIBLE
+        out.value[b] = -np.inf
+        out.certificate[b] = ray
 
     (b,) = np.nonzero(phase_two == -3)
-    out.code[b] = _PRUNED
-    out.value[b] = -np.inf
+    if b.size:
+        out.code[b] = _PRUNED
+        out.value[b] = -np.inf
     return out
 
 

@@ -10,6 +10,7 @@ from avlprange import (
     Status,
     all_sign_vectors,
     from_realization,
+    sign_of,
     solve_gen_avlp,
 )
 from avlprange import avlp, simplex
@@ -69,6 +70,46 @@ def test_no_column_to_enumerate_gives_one_tie():
     assert out.orthant.entries == (1, 1)
     assert out.ties.shape == (1, 2)
     assert np.array_equal(out.ties[0], out.optimizer)
+
+
+def test_one_lp_programs_match_the_oracle_bit_for_bit():
+    # programs without an enumerated column are one LP: with no |x|
+    # term at all, or lifted with an epigraph variable per convex
+    # column; optimal, infeasible and unbounded ones each give the
+    # oracle's outcome, an unbounded one labelled by the sign of its ray
+    rng = np.random.default_rng(48)
+    seen = set()
+    for trial in range(80):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        lin_lhs = rng.uniform(-3, 3, (m, n))
+        rhs = rng.uniform(-1, 4, m)
+        if trial % 4 < 2:
+            # box rows keep the program bounded
+            lin_lhs = np.vstack([lin_lhs, np.eye(n), -np.eye(n)])
+            rhs = np.concatenate([rhs, rng.uniform(0.5, 2.0, 2 * n)])
+        if trial % 8 == 3:
+            # x_1 <= -1 and x_1 >= 1
+            lin_lhs = np.vstack([lin_lhs, np.eye(1, n), -np.eye(1, n)])
+            rhs = np.concatenate([rhs, [-1.0, -1.0]])
+        abs_lhs = np.zeros_like(lin_lhs)
+        abs_cost = np.zeros(n)
+        lifted = bool(trial % 2)
+        if lifted:
+            # |x_j| only loosens rows and lowers the objective
+            for j in rng.choice(n, int(rng.integers(1, n + 1)), replace=False):
+                abs_lhs[:, j] = rng.uniform(0.0, 0.9, len(rhs)) * (rng.random(len(rhs)) < 0.7)
+                abs_cost[j] = -rng.uniform(0.0, 1.0)
+        prog = _program(rng.uniform(-2, 2, n), abs_cost, lin_lhs, abs_lhs, rhs)
+        ref, lps = orthant_sweep(prog)
+        assert len(lps) == 1
+        got = solve_gen_avlp(prog)
+        _assert_same_outcome(got, ref)
+        if got.status is Status.UNBOUNDED:
+            assert got.orthant == sign_of(got.ray)
+        elif got.status is Status.OPTIMAL:
+            assert got.ties.shape == (1, n) and np.array_equal(got.ties[0], got.optimizer)
+        seen.add((lifted, got.status))
+    assert seen == {(lifted, status) for lifted in (False, True) for status in Status}
 
 
 def test_tie_keeps_lexicographically_smallest_orthant():
@@ -446,6 +487,27 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
             if s < 0:
                 assert code == simplex._INFEASIBLE
     assert statuses[simplex._OPTIMAL] > 0 and statuses[simplex._INFEASIBLE] > 0
+
+
+def test_batch_kernel_matches_scalar_with_eight_or_more_variables():
+    # phase one's reduced cost of a column sums the dual's rows, one
+    # per variable, and numpy would add eight or more terms in an order
+    # set by the layout; both kernels add them row by row.  Rows of G
+    # that permute one vector have reduced costs that differ only by
+    # that order, so the entering column, and with it the pivot path
+    # and the last bits, show any other order in either kernel
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        n = int(rng.integers(8, 13))
+        B = 12
+        G_stack = np.zeros((B, 2 * n + 6, n))
+        G_stack[:, : 2 * n] = np.vstack([np.eye(n), -np.eye(n)])
+        v = rng.uniform(0.1, 1.0, n)
+        G_stack[:, 2 * n :] = [rng.permutation(v) for _ in range(6)]
+        g = np.concatenate([rng.uniform(1, 3, 2 * n), np.ones(6)])
+        c_stack = rng.uniform(0.1, 1.0, (B, n))
+        out = _batch_against_scalar(G_stack, g, c_stack)
+        assert np.all(out.code == simplex._OPTIMAL)
 
 
 def test_batch_kernel_takes_the_bland_switch(monkeypatch):

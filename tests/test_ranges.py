@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from avlprange import (
     AvlpProblem,
+    DimensionError,
     GenAvlpProgram,
     InputError,
     IntervalMatrix,
@@ -197,6 +198,14 @@ def test_corners_sit_on_the_documented_endpoints(name, request):
     expected = problem.best_corner(out.sign if out.status is Status.OPTIMAL else out.orthant)
     for key in ("A", "b", "c", "D"):
         assert np.array_equal(getattr(witness, key), getattr(expected, key))
+
+
+def test_corners_refuse_a_sign_of_the_wrong_length(example1):
+    short = SignVector((1,))
+    for call in (example1.best_corner, example1.worst_corner,
+                 lambda s: lower_tightness(example1, s, 0.0)):
+        with pytest.raises(DimensionError, match="column selector must have length 2, got 1"):
+            call(short)
 
 
 class TestPointData:
@@ -503,6 +512,65 @@ def test_full_range_equals_its_public_parts_bit_for_bit(request, name):
     tied = {sign_of(x) for x in lower.ties}
     expected = pinned or any(_attained_in_orthant(problem, s, report.tol) for s in tied)
     assert report.lower_tight is expected
+
+
+def _upper_setter(log):
+    """Index of the step that last moved the upper iteration's bound,
+    or None when no step did."""
+    setter, previous = None, np.inf
+    for step in log:
+        if _bits(step.bound) != _bits(previous):
+            setter = step.index
+        previous = step.bound
+    return setter
+
+
+# point data: the midpoint start is bitwise the first corner
+@pytest.mark.parametrize("name", _RANGE_CASES + ["point"])
+def test_upper_witness_is_the_realization_that_set_the_bound(request, name):
+    # the iteration carries its realizations as arrays and builds one
+    # Realization, the witness: the midpoint start when step 0 set the
+    # bound, else the worst corner at the sign the step before logged
+    problem = _range_problem(request, name)
+    bound, witness, log = worst_upper_bound(problem)
+    setter = _upper_setter(log)
+    if setter is None:
+        assert witness is None and bound == np.inf
+        return
+    if setter == 0:
+        expected = ranges.Realization(
+            A=problem.A.mid, b=problem.b.inf, c=problem.c.mid, D=problem.D.inf
+        )
+    else:
+        expected = problem.worst_corner(log[setter - 1].sign)
+    assert _realization_bits(witness) == _realization_bits(expected)
+    assert all(not getattr(witness, field).flags.writeable for field in "AbcD")
+    out = witness.solve()
+    if bound == -np.inf:
+        assert out.status is Status.INFEASIBLE
+    else:
+        assert out.status is Status.OPTIMAL and _bits(out.value) == _bits(bound)
+    assert _realization_bits(full_range(problem).upper_witness) == _realization_bits(witness)
+
+
+def test_upper_witnesses_come_from_the_start_and_from_corners(request):
+    # the cases above reach both kinds of witness
+    setters = {_upper_setter(worst_upper_bound(_range_problem(request, name))[2])
+               for name in _RANGE_CASES}
+    assert 0 in setters
+    assert any(setter is not None and setter > 0 for setter in setters)
+
+
+def test_upper_iteration_refuses_an_overflowing_midpoint(monkeypatch):
+    # endpoints of 1e308 are finite but their midpoint is not: the
+    # iteration reports that instead of solving a program with inf data
+    problem = _point_problem(
+        [[1e308, 1e308], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0], [1.0, 1.0], np.zeros((3, 2))
+    )
+    monkeypatch.setattr(ranges, "solve_gen_avlp", pytest.fail)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match="A must contain only finite values"):
+            worst_upper_bound(problem)
 
 
 @pytest.mark.parametrize("name", _RANGE_CASES)

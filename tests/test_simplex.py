@@ -202,9 +202,9 @@ def test_phase_one_cost_row_drift_is_repaired():
 
 
 def test_outcome_does_not_depend_on_the_layout_of_g():
-    # phase one sums the dual's rows, one per variable; numpy takes a
-    # sum of eight or more terms in an order set by the memory layout,
-    # so the kernel fixes the layout, and C and Fortran order agree
+    # phase one sums the dual's rows, one per variable; numpy would take
+    # a sum of eight or more terms in an order set by the memory layout,
+    # so the kernel adds them row by row, and C and Fortran order agree
     rng = np.random.default_rng(46)
     statuses = set()
     for trial in range(30):
