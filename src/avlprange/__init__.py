@@ -31,8 +31,6 @@ from .intervals import (
     all_sign_vectors,
     beeck_regular,
     interval_matvec,
-    realize_rs,
-    realize_s,
     rex_rohn_regular,
     sign_of,
 )
@@ -53,11 +51,9 @@ from .ranges import (
     worst_upper_bound,
 )
 from .simplex import (
-    BasisOptimality,
     LpOutcome,
     LpProblem,
     Status,
-    check_basis_optimal,
     solve_lp,
 )
 from .stability import (
@@ -90,19 +86,15 @@ __all__ = [
     "RegularityCheck",
     "sign_of",
     "all_sign_vectors",
-    "realize_rs",
-    "realize_s",
     "beeck_regular",
     "rex_rohn_regular",
     "interval_matvec",
     "solve_square",
     "enclose_interval_solution",
     "Status",
-    "BasisOptimality",
     "LpProblem",
     "LpOutcome",
     "solve_lp",
-    "check_basis_optimal",
     "GenAvlpProgram",
     "SolveOutcome",
     "solve_gen_avlp",

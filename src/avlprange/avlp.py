@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError, SizeCapError
 from .intervals import DEFAULT_TOL, SignVector, _check_tolerances, sign_of
-from .simplex import _HANDED_BACK, Status, _solve_inequality, _solve_inequality_batch
+from .simplex import Status, _solve_inequality, _solve_inequality_batch
 
 DEFAULT_ORTHANT_CAP = 16
 
@@ -281,10 +281,10 @@ def solve_gen_avlp(
         lhs_stack = lhs_stack.transpose(0, 2, 1)
         cost_stack = np.broadcast_to(cost, (stop - start, cols)).copy()
         cost_stack[:, enum] = p[enum] + q[enum] * signs
-        batch = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
-        values[start:stop] = batch.value
-        points[start:stop] = batch.x[:, :n]
-        for i in np.flatnonzero(batch.code == _HANDED_BACK):
+        value, x = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
+        values[start:stop] = value
+        points[start:stop] = x[:, :n]
+        for i in np.flatnonzero(np.isnan(value)):
             # a rare branch of the scalar kernel
             core = _solve_inequality(lhs_stack[i], rhs, cost_stack[i], tol)
             values[start + i] = core.value

@@ -12,17 +12,9 @@ from their parent and check only their shape.  An ``IntervalMatrix``
 computes its midpoint inverse at most once, and ``beeck_regular`` and
 ``linalg.enclose_interval_solution`` share it.
 
-Two member selectors pick structured points of an interval quantity:
-
-* ``realize_rs(M, r, s)`` picks the member ``mid - diag(r) @ rad @ diag(s)``
-  for row/column selectors with entries in ``[-1, 1]``; at ``+-1``
-  selectors this lands exactly on endpoint corners.
-* ``realize_s(c, s)`` picks ``mid + diag(s) @ rad`` from an interval
-  vector.
-
-``AvlpProblem.best_corner`` and ``AvlpProblem.worst_corner`` build the
-corner realizations of a whole problem with the same formula at ``+-1``
-selectors, bit for bit.
+The corner realizations of a problem, each entry taken from ``inf``
+or ``sup`` by a sign vector, are built in one place,
+``ranges.AvlpProblem._picks``.
 
 Sign conventions: the sign of zero is ``+1`` everywhere in this package.
 
@@ -275,9 +267,6 @@ class SignVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
-    def negate(self) -> "SignVector":
-        return SignVector(tuple(-e for e in self.entries))
-
 
 def sign_of(x) -> SignVector:
     """Sign pattern of a real vector under the sign(0) = +1 convention."""
@@ -290,39 +279,6 @@ def all_sign_vectors(n: int) -> list[SignVector]:
     if n < 1:
         raise InputError("sign vector length must be at least 1")
     return [SignVector(e) for e in itertools.product((-1, 1), repeat=n)]
-
-
-def _coerce_selector(value, length: int, what: str) -> np.ndarray:
-    if isinstance(value, SignVector):
-        arr = value.as_array()
-    else:
-        arr = _as_float_array(value, 1, what)
-    if arr.shape[0] != length:
-        raise DimensionError(f"{what} must have length {length}, got {arr.shape[0]}")
-    if (np.abs(arr) > 1.0 + 1e-12).any():
-        raise InputError(f"{what} entries must lie in [-1, 1]")
-    return arr
-
-
-def realize_rs(matrix: IntervalMatrix, r, s) -> np.ndarray:
-    """Member ``mid - diag(r) @ rad @ diag(s)`` of an interval matrix.
-
-    ``r`` selects per row, ``s`` per column; entries must lie in
-    ``[-1, 1]``.  Computed as a convex combination of the endpoint
-    arrays so that ``+-1`` selectors reproduce ``inf``/``sup`` exactly.
-    """
-    r = _coerce_selector(r, matrix.shape[0], "row selector")
-    s = _coerce_selector(s, matrix.shape[1], "column selector")
-    # mid - t*rad with t = r_i s_j equals ((1+t)inf + (1-t)sup) / 2
-    w = 0.5 * (1.0 + np.outer(r, s))
-    return w * matrix.inf + (1.0 - w) * matrix.sup
-
-
-def realize_s(vector: IntervalVector, s) -> np.ndarray:
-    """Member ``mid + diag(s) @ rad`` of an interval vector."""
-    s = _coerce_selector(s, len(vector), "sign selector")
-    w = 0.5 * (1.0 - s)
-    return w * vector.inf + (1.0 - w) * vector.sup
 
 
 @dataclass(frozen=True)

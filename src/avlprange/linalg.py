@@ -14,9 +14,9 @@ raises ``UnknownRegularityError`` and never returns an unverified box.
 ``intervals.beeck_regular``, so a Beeck test followed by an enclosure
 of the same matrix inverts its midpoint once.
 
-Square solves here and in ``simplex.check_basis_optimal`` go through
-one checked inverse from ``numpy.linalg.inv``, so the runtime needs
-numpy alone.
+Square solves here and in ``simplex._basis_solution`` go through one
+checked inverse from ``numpy.linalg.inv``, so the runtime needs numpy
+alone.
 """
 
 from __future__ import annotations

@@ -98,6 +98,14 @@ class AvlpProblem:
                 f"D must have a nonnegative lower bound; entry ({i + 1},{j + 1}) "
                 f"has lower bound {self.D.inf[i, j]}"
             )
+        # the analyses read midpoints, radii and rad(A) + sup(D), which
+        # overflow for finite endpoints near the float limit
+        with np.errstate(over="ignore"):
+            derived = [(f"{name}.{view}", getattr(getattr(self, name), view))
+                       for name in "AbcD" for view in ("mid", "rad")]
+            derived.append(("rad(A) + sup(D)", self.A.rad + self.D.sup))
+        for what, arr in derived:
+            _check_finite(arr, what)
 
     @property
     def m(self) -> int:
@@ -134,10 +142,10 @@ class AvlpProblem:
 
     def _picks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Matrix ``mid(A) - rad(A) diag(t)`` and cost ``mid(c) +
-        diag(t) rad(c)`` for signs ``t``: each entry is ``inf`` or
-        ``sup``, by the formula of ``realize_rs`` and ``realize_s``
-        (weights ``(1 + t) / 2`` and ``(1 - t) / 2`` on ``inf``), bit
-        for bit."""
+        diag(t) rad(c)`` for signs ``t``, the package's one corner
+        formula.  The weights on ``inf``, ``(1 + t) / 2`` for ``A`` and
+        ``(1 - t) / 2`` for ``c``, are 0 or 1, so each entry is ``inf``
+        or ``sup`` exactly."""
         if t.shape[0] != self.n:
             raise DimensionError(f"column selector must have length {self.n}, got {len(t)}")
         w = 0.5 * (1.0 + t)
@@ -364,10 +372,6 @@ def worst_upper_bound(
     """
     _check_tolerances(tol, max_iters)
     current: _Corner = (problem.A.mid, problem.b.inf, problem.c.mid, problem.D.inf)
-    # a corner takes each entry from inf or sup, but a midpoint of two
-    # huge endpoints can overflow
-    _check_finite(current[0], "A")
-    _check_finite(current[2], "c")
     bound = np.inf
     witness: _Corner | None = None
     log: list[IterationStep] = []

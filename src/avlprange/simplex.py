@@ -18,14 +18,13 @@ certified ray ``d`` with ``G d <= 0`` and ``c @ d > 0``.
 
 ``_solve_inequality_batch`` pivots a stack of same-shape inequality
 LPs in lockstep with numpy, under the same rules applied per LP, so
-each outcome equals the scalar one bit for bit (a zero entry of an
-infeasibility certificate aside, whose sign may differ).  It builds the
-stack of tableaux once and runs both phases on it in place, with one
-scratch buffer for the pivots' rank-one updates.  It settles the common
-cases (optimal, and infeasible with the certificate read from phase
-two), returns them as stacked arrays, and hands the rare ones back to
-the scalar kernel.  On request it prunes, in phase two, the LPs whose
-optimum provably falls below the best optimum found so far.
+each LP it settles gets the scalar kernel's value and point bit for
+bit.  It builds the stack of tableaux once and runs both phases on it
+in place, with one scratch buffer for the pivots' rank-one updates.
+It settles the common cases (optimal, and infeasible as read from
+phase two) and hands the rare ones back to the scalar kernel.  On
+request it prunes, in phase two, the LPs whose optimum provably falls
+below the best optimum found so far.
 """
 
 from __future__ import annotations
@@ -47,12 +46,6 @@ class Status(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-class BasisOptimality(str, Enum):
-    OPTIMAL = "optimal"
-    OPTIMAL_NONDEGENERATE = "optimal_nondegenerate"
-    NOT_OPTIMAL = "not_optimal"
 
 
 @dataclass(frozen=True)
@@ -341,7 +334,9 @@ def _run_phase_batch(
     size of the working set holds each step's rank-one update.  It is
     formed by ``np.einsum``, which writes +0.0 where ``_pivot``'s
     product is -0.0; so a zero entry may end with the other sign than
-    in the scalar kernel, and no other bit differs.
+    in the scalar kernel, and no other bit differs.  The entries read
+    out for a point, the artificial columns of phase two's cost row,
+    never hold -0.0, so points and values match bit for bit.
 
     Pruning is for phase two only, and only when ``incumbent`` is given.
     There every tableau is dual feasible, so its objective
@@ -429,56 +424,34 @@ def _run_phase_batch(
     return outcome
 
 
-#: Outcome codes of ``_solve_inequality_batch``.
-_OPTIMAL, _INFEASIBLE, _PRUNED, _HANDED_BACK = range(4)
-
-
-class _BatchOutcome(NamedTuple):
-    """Stacked outcomes of ``_solve_inequality_batch``, one row per LP.
-
-    ``code`` is ``_OPTIMAL``, ``_INFEASIBLE``, ``_PRUNED`` or
-    ``_HANDED_BACK``.  ``value`` is ``c @ x`` when optimal, ``-inf``
-    when infeasible or pruned and nan when handed back.  ``x``, ``y``
-    (nan) and ``rows``, the sorted basis rows (``-1``), are set only
-    for optimal LPs, and ``certificate`` (nan) only for infeasible
-    ones.
-    """
-
-    code: np.ndarray
-    value: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    rows: np.ndarray
-    certificate: np.ndarray
-
-
 def _solve_inequality_batch(
     G_stack: np.ndarray,
     g: np.ndarray,
     c_stack: np.ndarray,
     tol: float,
     incumbent: float | None = None,
-) -> _BatchOutcome:
+) -> tuple[np.ndarray, np.ndarray]:
     """``_solve_inequality(G_stack[b], g, c_stack[b], tol)`` for
-    every ``b``, pivoted in lockstep.
+    every ``b``, pivoted in lockstep; returns each LP's ``value`` and
+    point ``x``.
 
     Each LP follows the same two phases, pivot rules, Bland switch and
     iteration limit as ``_solve_standard``, per LP, so every optimal or
-    infeasible outcome equals the scalar one bit for bit, whatever the
-    memory layout of ``G_stack``; only a zero entry of ``certificate``
-    may carry the other sign (see ``_run_phase_batch``).  The stack is
-    built once and both phases pivot it in place.  An LP that
-    needs one of the scalar kernel's rare branches is handed back
-    (``_HANDED_BACK``): phase one without a pivot row (the drift
-    repair), an infeasible phase one (the feasibility probe), a
-    residual basic artificial, or the iteration limit.  Solve those
-    with ``_solve_inequality``.
+    infeasible LP gets the scalar kernel's value and point bit for bit,
+    whatever the memory layout of ``G_stack``.  The stack is built once
+    and both phases pivot it in place.  ``value`` is ``c @ x`` for an
+    optimal LP and ``-inf`` for an infeasible one; ``x`` is nan except
+    for optimal LPs.  An LP that needs one of the scalar kernel's rare
+    branches is handed back with ``value`` nan: phase one without a
+    pivot row (the drift repair), an infeasible phase one (the
+    feasibility probe), a residual basic artificial, or the iteration
+    limit.  Solve those with ``_solve_inequality``.
 
     With ``incumbent`` given, phase two prunes every LP whose optimum
     provably lies below the best of ``incumbent`` and the optima found
-    in this stack by more than ``tol * (1 + |best|)``
-    (``_PRUNED``); see ``_run_phase_batch``.  Pass ``-inf`` to
-    prune without a prior optimum.
+    in this stack by more than ``tol * (1 + |best|)``, and reports it
+    as ``-inf``; see ``_run_phase_batch``.  Pass ``-inf`` to prune
+    without a prior optimum.
     """
     B, m, n = G_stack.shape
     # the standard-form dual of each LP: n rows, m columns, rhs c_b
@@ -508,42 +481,16 @@ def _solve_inequality_batch(
     T[at, n] = costrow - np.matmul(g[basis[at]][:, None, :], T[at, :n])[:, 0]
     phase_two = _run_phase_batch(T, basis, m, tol, limit, bland_after, incumbent, go)
 
-    out = _BatchOutcome(
-        code=np.full(B, _HANDED_BACK),
-        value=np.full(B, np.nan),
-        x=np.full((B, n), np.nan),
-        y=np.full((B, m), np.nan),
-        rows=np.full((B, n), -1),
-        certificate=np.full((B, m), np.nan),
-    )
+    value = np.full(B, np.nan)
+    x = np.full((B, n), np.nan)
     (b,) = np.nonzero(phase_two == -1)
-    x = sign[b] * -T[b, n, m:width]
-    z = np.zeros((len(b), m))
-    z[np.arange(len(b))[:, None], basis[b]] = T[b, :n, -1]
-    small = np.abs(z) < 1e2 * tol
-    z[small] = np.maximum(z[small], 0.0)
-    out.code[b] = _OPTIMAL
-    out.value[b] = np.matmul(c_stack[b][:, None, :], x[:, :, None])[:, 0, 0]
-    out.x[b] = x
-    out.y[b] = z
-    out.rows[b] = np.sort(basis[b], axis=1)
-
-    # dual unbounded below: the primal is infeasible
-    (b,) = np.nonzero(phase_two >= 0)
-    if b.size:
-        j = phase_two[b]
-        ray = np.zeros((len(b), m))
-        ray[np.arange(len(b))[:, None], basis[b]] = -T[b, :n, j]
-        ray[np.arange(len(b)), j] = 1.0
-        out.code[b] = _INFEASIBLE
-        out.value[b] = -np.inf
-        out.certificate[b] = ray
-
-    (b,) = np.nonzero(phase_two == -3)
-    if b.size:
-        out.code[b] = _PRUNED
-        out.value[b] = -np.inf
-    return out
+    xb = sign[b] * -T[b, n, m:width]
+    x[b] = xb
+    value[b] = np.matmul(c_stack[b][:, None, :], xb[:, :, None])[:, 0, 0]
+    # pruned, or infeasible: a column without a pivot row leaves the
+    # dual unbounded below
+    value[(phase_two >= 0) | (phase_two == -3)] = -np.inf
+    return value, x
 
 
 def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
@@ -595,42 +542,10 @@ def _basis_solution(G: np.ndarray, g: np.ndarray, c: np.ndarray, idx: np.ndarray
     return _BasisSolution(x, y, primal_ok, dual_ok)
 
 
-def check_basis_optimal(G, g, c, basis, tol: float = DEFAULT_TOL) -> BasisOptimality:
-    """Classify a row index set as an optimal basis of
-    ``max c @ x, G x <= g``.
-
-    The basis ``B`` must select ``n`` distinct rows.  ``B`` is optimal
-    when ``x = G[B]^-1 g[B]`` satisfies the nonbasic rows and the basic
-    multipliers ``G[B]^-T c`` are nonnegative; it is reported
-    nondegenerate when the multipliers are strictly positive beyond the
-    tolerance.  Raises ``SingularMatrixError`` when ``G[B]`` is singular
-    to working precision, and ``InputError`` unless ``0 < tol <= 1e-3``
-    and every entry of ``B`` is an integer.
-    """
-    _check_tolerances(tol)
-    G = np.asarray(G, dtype=float)
-    g = np.asarray(g, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = G.shape
-    rows = _integer_rows(basis)
-    if len(rows) != n or len(set(rows)) != n:
-        raise InputError(f"basis must name {n} distinct rows, got {rows}")
-    if any(i < 0 or i >= m for i in rows):
-        raise InputError(f"basis rows out of range for {m} rows: {rows}")
-    sol = _basis_solution(G, g, c, np.array(rows, dtype=int), tol)
-    if sol.primal_ok and sol.dual_ok:
-        if (sol.y > tol).all():
-            return BasisOptimality.OPTIMAL_NONDEGENERATE
-        return BasisOptimality.OPTIMAL
-    return BasisOptimality.NOT_OPTIMAL
-
-
 __all__ = [
     "Status",
-    "BasisOptimality",
     "LpProblem",
     "LpOutcome",
     "solve_lp",
-    "check_basis_optimal",
     "SingularMatrixError",
 ]

@@ -318,12 +318,12 @@ def test_pruning_keeps_the_first_of_tied_orthants_across_chunks(monkeypatch):
     # orthants with x_3 >= 0 tie at exactly 4, the other four reach 2
     box = np.vstack([np.eye(3), -np.eye(3)])
     prog = _program([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], box, np.zeros((6, 3)), np.ones(6))
-    codes = []
+    values = []
     real_batch = avlp._solve_inequality_batch
 
     def batch(*args):
         out = real_batch(*args)
-        codes.append(out.code)
+        values.append(out[0])
         return out
 
     # two orthants per chunk: the tied orthants 1 and 3 of the eight
@@ -331,9 +331,14 @@ def test_pruning_keeps_the_first_of_tied_orthants_across_chunks(monkeypatch):
     monkeypatch.setattr(avlp, "_CHUNK_BYTES", 2 * 8 * (3 + 1) * (9 + 3 + 1))
     monkeypatch.setattr(avlp, "_solve_inequality_batch", batch)
     out = solve_gen_avlp(prog)
-    assert [len(c) for c in codes] == [2, 2, 2, 2]
-    assert simplex._PRUNED in np.concatenate(codes)
+    assert [len(v) for v in values] == [2, 2, 2, 2]
     ref, lps = orthant_sweep(prog)
+    # a pruned LP reads -inf; every other one its own optimum
+    values = np.concatenate(values)
+    optima = np.array([lp.value for lp in lps])
+    pruned = values == -np.inf
+    assert pruned.any() and np.isfinite(optima).all()
+    assert np.array_equal(values[~pruned], optima[~pruned])
     _assert_same_outcome(out, ref)
     assert out.value == 4.0
     assert out.orthant.entries == (-1, -1, 1)
@@ -419,28 +424,30 @@ def _assert_same_outcome(got, ref):
 
 
 def _assert_same_core(out, i, ref):
-    """LP ``i`` of a batch outcome equals the scalar kernel's ``ref``."""
-    code = {Status.OPTIMAL: simplex._OPTIMAL, Status.INFEASIBLE: simplex._INFEASIBLE}
-    assert out.code[i] == code[ref.status]
-    assert out.value[i] == ref.value
+    """LP ``i`` of a batch's ``(value, x)`` equals the scalar kernel's
+    ``ref``: the value, and the point when optimal, bit for bit."""
+    value, x = out
+    assert ref.status in (Status.OPTIMAL, Status.INFEASIBLE)
+    assert float(value[i]).hex() == ref.value.hex()
     if ref.status is Status.OPTIMAL:
-        assert tuple(out.rows[i]) == ref.basis
-        assert np.array_equal(out.x[i], ref.x)
-        assert np.array_equal(out.y[i], ref.y)
+        assert x[i].tobytes() == ref.x.tobytes()
     else:
-        assert np.array_equal(out.certificate[i], ref.certificate)
+        assert np.isnan(x[i]).all()
 
 
 def _batch_against_scalar(G_stack, g, c_stack):
     """Batch outcomes, each checked bit for bit against the scalar
-    kernel; the batch must leave its inputs as they were."""
+    kernel; the batch must leave its inputs as they were.  A handed-back
+    LP reads nan."""
     inputs = [a.copy() for a in (G_stack, g, c_stack)]
-    out = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
+    out = value, x = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
     for a, before in zip((G_stack, g, c_stack), inputs):
         assert a.tobytes() == before.tobytes()
-    assert len(out.code) == len(G_stack)
+    assert value.shape == (len(G_stack),) and x.shape == (len(G_stack), G_stack.shape[2])
     for i, (G, c) in enumerate(zip(G_stack, c_stack)):
-        if out.code[i] != simplex._HANDED_BACK:
+        if np.isnan(value[i]):
+            assert np.isnan(x[i]).all()
+        else:
             _assert_same_core(out, i, _solve_inequality(G, g, c, 1e-9))
     return out
 
@@ -449,7 +456,7 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
     rng = np.random.default_rng(44)
     n = 3
     box = np.vstack([np.eye(n), -np.eye(n)])
-    statuses = {simplex._OPTIMAL: 0, simplex._INFEASIBLE: 0}
+    optimal = infeasible = 0
     for _ in range(20):
         B = 12
         # box rows, four random rows, then x_1 <= -1 and s x_1 <= -1,
@@ -471,22 +478,22 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
         G_stack[1, -1, 0] = 1.0
         G_stack[1, :, 1] = G_stack[1, :, 0]
         c_stack[1, 1] = c_stack[1, 0]
-        out = _batch_against_scalar(G_stack, g, c_stack)
+        out = value, _ = _batch_against_scalar(G_stack, g, c_stack)
         # the same LPs as a view of a (B, n, m) array, the layout the
         # sweep passes: the same outcomes, to the bit
         view = np.ascontiguousarray(G_stack.transpose(0, 2, 1)).transpose(0, 2, 1)
         again = _batch_against_scalar(view, g, c_stack)
         for a, b in zip(out, again):
             assert a.tobytes() == b.tobytes()
-        assert out.code[0] == simplex._HANDED_BACK
-        assert out.code[1] == simplex._HANDED_BACK
-        # the box keeps the dual feasible, so the batch settles the rest
-        assert np.all(np.isin(out.code[2:], [simplex._OPTIMAL, simplex._INFEASIBLE]))
-        for code, s in zip(out.code[2:], G_stack[2:, -1, 0]):
-            statuses[code] += 1
-            if s < 0:
-                assert code == simplex._INFEASIBLE
-    assert statuses[simplex._OPTIMAL] > 0 and statuses[simplex._INFEASIBLE] > 0
+        assert np.isnan(value[:2]).all()
+        # the box keeps the dual feasible, so the batch settles the rest,
+        # and without an incumbent nothing is pruned: -inf is infeasible
+        settled = value[2:]
+        assert not np.isnan(settled).any() and (settled < np.inf).all()
+        assert (settled[G_stack[2:, -1, 0] < 0] == -np.inf).all()
+        infeasible += int((settled == -np.inf).sum())
+        optimal += int(np.isfinite(settled).sum())
+    assert optimal > 0 and infeasible > 0
 
 
 def test_batch_kernel_matches_scalar_with_eight_or_more_variables():
@@ -506,8 +513,8 @@ def test_batch_kernel_matches_scalar_with_eight_or_more_variables():
         G_stack[:, 2 * n :] = [rng.permutation(v) for _ in range(6)]
         g = np.concatenate([rng.uniform(1, 3, 2 * n), np.ones(6)])
         c_stack = rng.uniform(0.1, 1.0, (B, n))
-        out = _batch_against_scalar(G_stack, g, c_stack)
-        assert np.all(out.code == simplex._OPTIMAL)
+        value, _ = _batch_against_scalar(G_stack, g, c_stack)
+        assert np.isfinite(value).all()
 
 
 def test_batch_kernel_takes_the_bland_switch(monkeypatch):
@@ -535,5 +542,5 @@ def test_batch_kernel_takes_the_bland_switch(monkeypatch):
     c_stack = np.tile(c, (4, 1))
     G_stack[:, :, 0] *= scale[:, None]
     out = _batch_against_scalar(G_stack, g, c_stack)
-    assert np.all(out.code != simplex._HANDED_BACK)
+    assert not np.isnan(out[0]).any()
     _assert_same_core(out, 0, ref)

@@ -283,6 +283,24 @@ def test_out_of_range_tolerances_exit_2(capsys, fixtures_dir):
         assert out == ""
 
 
+@pytest.mark.parametrize("command", ["check", "range"])
+def test_overflowing_data_exits_2(capsys, tmp_path, command):
+    # finite endpoints whose midpoint overflows: the problem is refused
+    # when it is built, before any analysis runs
+    document = {
+        "A": {"inf": [[1e308, 1e308]], "sup": [[1e308, 1e308]]},
+        "b": {"inf": [1.0], "sup": [1.0]},
+        "c": {"inf": [1.0, 1.0], "sup": [1.0, 1.0]},
+        "D": {"inf": [[0.0, 0.0]], "sup": [[0.0, 0.0]]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert "A.mid must contain only finite values" in err
+    assert out == ""
+
+
 def test_numerical_failures_exit_3(capsys, tmp_path):
     document = {
         "A": {"mid": [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]], "rad": [[2.0, 2.0], [2.0, 2.0], [0.0, 0.0]]},

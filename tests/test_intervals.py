@@ -12,8 +12,6 @@ from avlprange import (
     all_sign_vectors,
     beeck_regular,
     interval_matvec,
-    realize_rs,
-    realize_s,
     rex_rohn_regular,
     sign_of,
 )
@@ -153,45 +151,9 @@ class TestSignVectors:
     def test_repeated_enumeration_is_stable(self):
         assert all_sign_vectors(3) == all_sign_vectors(3)
 
-    def test_negate_and_ones(self):
-        s = SignVector((1, 1, 1))
-        assert s.entries == (1, 1, 1)
-        assert s.negate().entries == (-1, -1, -1)
-        assert list(s) == [1, 1, 1]
-
     def test_invalid_entries_rejected(self):
         with pytest.raises(InputError):
             SignVector((1, 0, -1))
-
-
-class TestRealizations:
-    def test_row_and_column_corner(self):
-        a = IntervalMatrix.from_midrad(
-            [[1.0, 1.0], [-2.0, 4.0]], [[0.05, 0.05], [0.1, 0.2]]
-        )
-        got = realize_rs(a, (-1, -1), (1, 1))
-        assert np.allclose(got, [[1.05, 1.05], [-1.9, 4.2]], atol=1e-12)
-        d_mid = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert np.allclose(
-            got - d_mid, [[1.05, 1.05], [-2.9, 3.2]], atol=1e-12
-        )
-
-    def test_matrix_corner_is_member(self):
-        rng = np.random.default_rng(11)
-        a = IntervalMatrix.from_midrad(rng.normal(size=(3, 3)), rng.uniform(0, 1, (3, 3)))
-        for r in ((1, 1, 1), (-1, 1, -1)):
-            for s in ((1, -1, 1), (-1, -1, -1)):
-                assert a.contains(realize_rs(a, r, s))
-
-    def test_vector_corner(self):
-        v = IntervalVector([0.0, -1.0], [2.0, 1.0])
-        assert np.allclose(realize_s(v, (1, -1)), [2.0, -1.0])
-        assert np.allclose(realize_s(v, (-1, 1)), [0.0, 1.0])
-
-    def test_selector_length_checked(self):
-        v = IntervalVector([0.0], [1.0])
-        with pytest.raises(DimensionError):
-            realize_s(v, (1, 1))
 
 
 class TestRegularity:

@@ -1,5 +1,7 @@
 """Best case, worst-case bracket, tightness certificate, aggregation."""
 
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from avlprange import (
     all_sign_vectors,
     best_case,
     best_case_bstable,
-    check_basis_optimal,
     full_range,
     lower_tightness,
     parse_problem,
@@ -351,8 +352,6 @@ _TOL_ENTRY_POINTS = [
     ("full_range", lambda p, tol: full_range(p, tol=tol)),
     ("verify_b_stability", lambda p, tol: verify_b_stability(p, (0, 1), tol=tol)),
     ("best_case_bstable", lambda p, tol: best_case_bstable(p, (0, 1), tol=tol)),
-    ("check_basis_optimal", lambda p, tol: check_basis_optimal(np.eye(2), np.ones(2), np.ones(2),
-                                                               (0, 1), tol=tol)),
 ]
 
 
@@ -561,16 +560,33 @@ def test_upper_witnesses_come_from_the_start_and_from_corners(request):
     assert any(setter is not None and setter > 0 for setter in setters)
 
 
-def test_upper_iteration_refuses_an_overflowing_midpoint(monkeypatch):
-    # endpoints of 1e308 are finite but their midpoint is not: the
-    # iteration reports that instead of solving a program with inf data
-    problem = _point_problem(
-        [[1e308, 1e308], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0], [1.0, 1.0], np.zeros((3, 2))
-    )
-    monkeypatch.setattr(ranges, "solve_gen_avlp", pytest.fail)
-    with np.errstate(over="ignore"):
-        with pytest.raises(InputError, match="A must contain only finite values"):
-            worst_upper_bound(problem)
+#: Finite data whose midpoint, radius or ``rad(A) + sup(D)`` overflows,
+#: as endpoints and as midpoint and radius: ``(what, fields)`` with
+#: ``fields`` the parts of a 1 x 2 problem that differ from point data.
+_OVERFLOWING = [
+    ("A.mid", {"A": IntervalMatrix.from_point([[1e308, 1e308]])}),
+    ("b.rad", {"b": IntervalVector([-1e308], [1e308])}),
+    ("c.mid", {"c": IntervalVector.from_midrad([1.7e308, 0.0], [0.0, 0.0])}),
+    ("D.mid", {"D": IntervalMatrix.from_point([[1.7e308, 0.0]])}),
+    ("rad(A) + sup(D)", {"A": IntervalMatrix.from_midrad([[0.0, 0.0]], [[8e307, 0.0]]),
+                         "D": IntervalMatrix([[0.0, 0.0]], [[1e308, 0.0]])}),
+]
+
+
+@pytest.mark.parametrize("what, fields", _OVERFLOWING, ids=[w.replace(" ", "") for w, _ in _OVERFLOWING])
+def test_overflowing_data_is_refused_when_the_problem_is_built(what, fields):
+    data = {
+        "A": IntervalMatrix.from_point([[1.0, 1.0]]),
+        "b": IntervalVector.from_point([1.0]),
+        "c": IntervalVector.from_point([1.0, 1.0]),
+        "D": IntervalMatrix.from_point([[0.0, 0.0]]),
+        **fields,
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputError, match=re.escape(f"{what} must contain only finite values")):
+            AvlpProblem(**data)
+    assert caught == []
 
 
 @pytest.mark.parametrize("name", _RANGE_CASES)
