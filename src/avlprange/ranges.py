@@ -101,11 +101,10 @@ class AvlpProblem:
         # the analyses read midpoints, radii and rad(A) + sup(D), which
         # overflow for finite endpoints near the float limit
         with np.errstate(over="ignore"):
-            derived = [(f"{name}.{view}", getattr(getattr(self, name), view))
-                       for name in "AbcD" for view in ("mid", "rad")]
-            derived.append(("rad(A) + sup(D)", self.A.rad + self.D.sup))
-        for what, arr in derived:
-            _check_finite(arr, what)
+            for name in "AbcD":
+                for view in ("mid", "rad"):
+                    _check_finite(getattr(getattr(self, name), view), f"{name}.{view}")
+            _check_finite(self.A.rad + self.D.sup, "rad(A) + sup(D)")
 
     @property
     def m(self) -> int:
