@@ -44,7 +44,6 @@ from .stability import (
     StabilityCertificate,
     _BEST_ACCEPTS,
     _WORST_ACCEPTS,
-    _basis_rows,
     best_case_bstable,
     verify_b_stability,
     worst_case_bstable,
@@ -158,17 +157,8 @@ def _interval_vector_doc(iv: IntervalVector | None):
 
 
 def _certificate_doc(cert: StabilityCertificate):
-    regularity = None
-    if cert.regularity is not None:
-        regularity = {
-            "condition": cert.regularity.condition,
-            "verified": cert.regularity.verified,
-            "statistic": _ext(cert.regularity.statistic),
-            "reason": cert.regularity.reason,
-        }
     return {
         "status": cert.status.value,
-        "regularity": regularity,
         "primal_margin": _ext(cert.primal_margin),
         "dual_margin": _ext(cert.dual_margin),
         "primal_enclosure": _interval_vector_doc(cert.primal_enclosure),
@@ -215,12 +205,10 @@ def _parse_basis(text: str) -> Basis:
     return Basis.from_one_based(labels)
 
 
-def _require_basis(args, problem: AvlpProblem) -> Basis:
+def _require_basis(args) -> Basis:
     if not args.basis:
         raise InputError("this mode needs --basis with 1-based row numbers")
-    basis = _parse_basis(args.basis)
-    _basis_rows(basis, problem)
-    return basis
+    return _parse_basis(args.basis)
 
 
 def _verified_certificate(
@@ -229,7 +217,7 @@ def _verified_certificate(
     """Basis and certificate for a ``--bstable`` value; a certificate
     outside ``accepted`` is a numerical failure, because the value would
     be meaningless."""
-    basis = _require_basis(args, problem)
+    basis = _require_basis(args)
     cert = verify_b_stability(problem, basis, tol=args.tol)
     if cert.status not in accepted:
         needed = " or ".join(status.value for status in accepted)
@@ -314,6 +302,8 @@ def _cmd_solve(problem: AvlpProblem, args) -> dict:
 
 
 def _cmd_best(problem: AvlpProblem, args) -> dict:
+    if args.basis and not args.bstable:
+        raise InputError("--basis needs --bstable")
     if args.bstable:
         basis, cert = _verified_certificate(problem, args, _BEST_ACCEPTS, "best case")
         value = best_case_bstable(problem, basis, tol=args.tol, certificate=cert)
@@ -329,6 +319,8 @@ def _cmd_best(problem: AvlpProblem, args) -> dict:
 
 
 def _cmd_worst(problem: AvlpProblem, args) -> dict:
+    if args.basis and not args.bstable:
+        raise InputError("--basis needs --bstable")
     if args.bstable:
         basis, cert = _verified_certificate(problem, args, _WORST_ACCEPTS, "worst case")
         value, x_star, witness = worst_case_bstable(
@@ -370,7 +362,7 @@ def _cmd_range(problem: AvlpProblem, args, analysis=full_range) -> dict:
 
 
 def _cmd_stability(problem: AvlpProblem, args) -> dict:
-    basis = _require_basis(args, problem)
+    basis = _require_basis(args)
     cert = verify_b_stability(problem, basis, tol=args.tol)
     return {
         "values": {"status": cert.status.value},

@@ -8,9 +8,7 @@ are ordinary real data and everything here treats them as such.
 constructors and views through one base class.  Endpoints are checked
 once, when an object is built from outside data: the slices ``take``,
 ``take_rows`` and ``transpose`` inherit finiteness and ``inf <= sup``
-from their parent and check only their shape.  An ``IntervalMatrix``
-computes its midpoint inverse at most once, and ``beeck_regular`` and
-``linalg.enclose_interval_solution`` share it.
+from their parent and check only their shape.
 
 The corner realizations of a problem, each entry taken from ``inf``
 or ``sup`` by a sign vector, are built in one place,
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -222,11 +219,9 @@ class IntervalMatrix(_IntervalArray):
     def T(self) -> "IntervalMatrix":
         return self.transpose()
 
-    @cached_property
     def _mid_inverse(self) -> np.ndarray | None:
         """Inverse of the midpoint, or None when ``numpy.linalg.inv``
-        finds it singular; computed once per object and shared by
-        ``beeck_regular`` and ``linalg.enclose_interval_solution``."""
+        finds it singular."""
         try:
             return np.linalg.inv(self.mid)
         except np.linalg.LinAlgError:
@@ -312,7 +307,7 @@ def beeck_regular(matrix: IntervalMatrix) -> RegularityCheck:
     margin.  Returns unknown when the midpoint cannot be inverted.
     """
     _require_square(matrix)
-    inv_mid = matrix._mid_inverse
+    inv_mid = matrix._mid_inverse()
     if inv_mid is None:
         return RegularityCheck("beeck", False, np.inf, "midpoint-singular")
     iteration = np.abs(inv_mid) @ matrix.rad

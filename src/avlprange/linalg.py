@@ -10,9 +10,6 @@ Hansen-Bliek-Rohn bound is valid and sharp for the preconditioned
 system, so no separate regularity test runs first.  When the gate
 fails, or the bound cannot be formed in floating point, the routine
 raises ``UnknownRegularityError`` and never returns an unverified box.
-``R`` is computed once per ``IntervalMatrix`` object and shared with
-``intervals.beeck_regular``, so a Beeck test followed by an enclosure
-of the same matrix inverts its midpoint once.
 
 Square solves here and in ``simplex._basis_solution`` go through one
 checked inverse from ``numpy.linalg.inv``, so the runtime needs numpy
@@ -141,9 +138,7 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
     ``M`` regular and makes the preconditioned matrix ``R M`` an
     H-matrix, which is exactly what the Hansen-Bliek-Rohn bound
     assumes; the box returned is that bound for the preconditioned
-    system ``R M x = R b``.  ``R`` is the matrix's shared midpoint
-    inverse, which a ``beeck_regular`` call on the same object may
-    already have computed.  A singular midpoint, a non-finite
+    system ``R M x = R b``.  A singular midpoint, a non-finite
     statistic, a failed gate, or a bound that cannot be formed in
     floating point raise ``UnknownRegularityError``.
     """
@@ -153,7 +148,7 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
     if len(rhs) != n:
         raise DimensionError(f"right side has length {len(rhs)}, expected {n}")
 
-    inv_mid = matrix._mid_inverse
+    inv_mid = matrix._mid_inverse()
     if inv_mid is None:
         raise UnknownRegularityError("unknown-regularity: midpoint is singular")
     abs_inv = np.abs(inv_mid)

@@ -506,16 +506,6 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
     return _solve_inequality(problem.G, problem.g, problem.c, tol)
 
 
-def _integer_rows(entries) -> tuple[int, ...]:
-    """Basis row labels as Python ints; ``InputError`` for any entry
-    that is not a Python or numpy integer (floats, bools, strings),
-    which ``int()`` would otherwise truncate or coerce."""
-    rows = tuple(entries)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in rows):
-        raise InputError(f"basis rows must be integers, got {rows}")
-    return tuple(int(i) for i in rows)
-
-
 class _BasisSolution(NamedTuple):
     """Basic solution of ``max c @ x, G x <= g`` at one row basis, read
     from a single inverse of ``G[B]``."""

@@ -4,11 +4,13 @@ A row basis ``B`` (one row per variable, with the basic square block
 nonsingular) is stable when it stays optimal for every realization of
 the relaxed program ``max c @ x, A* x <= b`` where ``A*`` widens ``A``
 by the largest absolute-value relief.  Stability is certified here by
-sufficient conditions only: verified regularity of the basic block, a
-verified enclosure of the basic solutions that keeps every nonbasic
-row satisfied, and a verified nonnegative (for nondegeneracy: strictly
-positive) enclosure of the basic multipliers.  The third outcome is an
-honest ``unknown``; instability is never asserted.
+sufficient conditions only: a verified enclosure of the basic
+solutions that keeps every nonbasic row satisfied, and a verified
+nonnegative (for nondegeneracy: strictly positive) enclosure of the
+basic multipliers.  The primal enclosure's contraction gate
+(``linalg.enclose_interval_solution``) is also the proof that the
+basic block is regular; no separate regularity test runs.  The third
+outcome is an honest ``unknown``; instability is never asserted.
 
 Under a verified certificate the range endpoints collapse to single
 solves: the best case is one ordinary LP in the multipliers, and the
@@ -45,7 +47,6 @@ from .intervals import (
     DEFAULT_TOL,
     IntervalMatrix,
     IntervalVector,
-    RegularityCheck,
     _as_float_array,
     _check_tolerances,
     all_sign_vectors,
@@ -56,9 +57,25 @@ from .intervals import (
 )
 from .linalg import enclose_interval_solution, solve_square
 from .ranges import AvlpProblem, Realization, relaxed_interval_lp
-from .simplex import LpProblem, Status, _basis_solution, _integer_rows, solve_lp
+from .simplex import LpProblem, Status, _basis_solution, solve_lp
 
 NONDEGENERACY_MARGIN = 1e-7
+
+
+def _integer_rows(entries) -> tuple[int, ...]:
+    """Basis row labels as Python ints; ``InputError`` for any entry
+    that is not a Python or numpy integer (floats, bools, strings),
+    which ``int()`` would otherwise truncate or coerce."""
+    rows = tuple(entries)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in rows):
+        raise InputError(f"basis rows must be integers, got {rows}")
+    return tuple(int(i) for i in rows)
+
+
+def _row_label(i: int) -> str:
+    """A 0-based basis row index in both numberings, for messages read
+    by library users (0-based) and command-line users (1-based)."""
+    return f"basis row index {i} (row {i + 1} counting from 1)"
 
 
 @dataclass(frozen=True)
@@ -73,10 +90,11 @@ class Basis:
 
     def __post_init__(self):
         rows = _integer_rows(self.rows)
-        if len(set(rows)) != len(rows):
-            raise InputError(f"basis rows must be distinct, got {rows}")
-        if any(i < 0 for i in rows):
-            raise InputError(f"basis rows must be nonnegative, got {rows}")
+        for k, i in enumerate(rows):
+            if i < 0:
+                raise InputError(f"{_row_label(i)} is negative")
+            if i in rows[:k]:
+                raise InputError(f"{_row_label(i)} appears more than once")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -114,8 +132,10 @@ _WORST_ACCEPTS = (CertificateStatus.VERIFIED_NONDEGENERATE,)
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Outcome of the three sufficient checks.
+    """Outcome of the sufficient checks.
 
+    ``primal_enclosure`` exists only when the basic block is proved
+    regular, since its contraction gate is that proof.
     ``primal_margin`` is the smallest verified slack of the nonbasic
     rows over the primal enclosure; ``dual_margin`` the smallest lower
     bound of the multiplier enclosure.  On ``unknown`` the first
@@ -123,7 +143,6 @@ class StabilityCertificate:
     """
 
     status: CertificateStatus
-    regularity: RegularityCheck | None = None
     primal_enclosure: IntervalVector | None = None
     primal_margin: float | None = None
     dual_enclosure: IntervalVector | None = None
@@ -163,48 +182,35 @@ def _basis_rows(basis, problem: AvlpProblem) -> np.ndarray:
         )
     if rows.size and rows.max() >= problem.m:
         raise InputError(
-            f"basis row {rows.max()} out of range for {problem.m} constraint rows"
+            f"{_row_label(int(rows.max()))} out of range for {problem.m} constraint rows"
         )
     return rows
-
-
-def _verified_regularity(matrix: IntervalMatrix) -> RegularityCheck:
-    check = beeck_regular(matrix)
-    if check.verified:
-        return check
-    return rex_rohn_regular(matrix)
 
 
 def verify_b_stability(
     problem: AvlpProblem, basis, tol: float = DEFAULT_TOL
 ) -> StabilityCertificate:
-    """Run the three sufficient stability checks for one basis.
+    """Run the sufficient stability checks for one basis.
 
-    Returns ``verified_nondegenerate`` when additionally every basic
-    multiplier is verifiably above ``NONDEGENERACY_MARGIN``, plain
-    ``verified`` when multipliers are only verifiably nonnegative, and
-    ``unknown`` (with the failing check named) otherwise.
+    The checks run in order: a verified enclosure of the basic
+    solutions (whose contraction gate proves the basic block regular),
+    every nonbasic row satisfied over it, and a verified nonnegative
+    enclosure of the basic multipliers.  Returns
+    ``verified_nondegenerate`` when additionally every basic multiplier
+    is verifiably above ``NONDEGENERACY_MARGIN``, plain ``verified``
+    when multipliers are only verifiably nonnegative, and ``unknown``
+    (with the failing check named) otherwise.
     """
     _check_tolerances(tol)
     rows = _basis_rows(basis, problem)
     star, rhs, cost = relaxed_interval_lp(problem)
     basic = star.take_rows(rows)
 
-    regularity = _verified_regularity(basic)
-    if not regularity.verified:
-        return StabilityCertificate(
-            status=CertificateStatus.UNKNOWN,
-            regularity=regularity,
-            reason="regularity of the basic block could not be verified"
-            + (f" ({regularity.reason})" if regularity.reason else ""),
-        )
-
     try:
         primal = enclose_interval_solution(basic, rhs.take(rows))
     except UnknownRegularityError as exc:
         return StabilityCertificate(
             status=CertificateStatus.UNKNOWN,
-            regularity=regularity,
             reason=f"primal enclosure failed: {exc}",
         )
 
@@ -220,7 +226,6 @@ def verify_b_stability(
     if primal_margin < -tol:
         return StabilityCertificate(
             status=CertificateStatus.UNKNOWN,
-            regularity=regularity,
             primal_enclosure=primal,
             primal_margin=primal_margin,
             reason=f"nonbasic row {worst_row + 1} not verifiably satisfied "
@@ -232,7 +237,6 @@ def verify_b_stability(
     except UnknownRegularityError as exc:
         return StabilityCertificate(
             status=CertificateStatus.UNKNOWN,
-            regularity=regularity,
             primal_enclosure=primal,
             primal_margin=primal_margin,
             reason=f"dual enclosure failed: {exc}",
@@ -242,7 +246,6 @@ def verify_b_stability(
         which = int(np.argmin(dual.inf))
         return StabilityCertificate(
             status=CertificateStatus.UNKNOWN,
-            regularity=regularity,
             primal_enclosure=primal,
             primal_margin=primal_margin,
             dual_enclosure=dual,
@@ -258,7 +261,6 @@ def verify_b_stability(
     )
     return StabilityCertificate(
         status=status,
-        regularity=regularity,
         primal_enclosure=primal,
         primal_margin=primal_margin,
         dual_enclosure=dual,
@@ -390,7 +392,7 @@ def solve_gave(system: GaveSystem, cap: int = DEFAULT_ORTHANT_CAP) -> np.ndarray
     n = g.shape[0]
 
     envelope = IntervalMatrix(M - np.abs(F), M + np.abs(F))
-    unique = _verified_regularity(envelope).verified
+    unique = beeck_regular(envelope).verified or rex_rohn_regular(envelope).verified
     if not unique:
         warnings.warn(
             "uniqueness of the absolute value system's solution was not "

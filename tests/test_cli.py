@@ -190,7 +190,6 @@ def test_stability_command(capsys, fixtures_dir):
     assert code == 0
     assert report["values"]["status"] == "verified_nondegenerate"
     cert = report["certificates"]["stability"]
-    assert cert["regularity"]["verified"] is True
     assert cert["primal_margin"] == pytest.approx(0.4334, abs=1e-3)
 
 
@@ -206,7 +205,27 @@ def test_stability_with_singular_basic_rows_is_unknown(capsys, tmp_path):
     code, report, _ = run_json(capsys, "stability", str(path), "--basis", "1,2")
     assert code == 0
     assert report["values"]["status"] == "unknown"
-    assert report["certificates"]["stability"]["regularity"]["reason"] == "midpoint-singular"
+    assert report["certificates"]["stability"]["reason"] == (
+        "primal enclosure failed: unknown-regularity: midpoint is singular"
+    )
+
+
+@pytest.mark.parametrize("command, basis", [("best", "1,2"), ("worst", "9,9")])
+def test_basis_without_bstable_exits_2(capsys, fixtures_dir, command, basis):
+    # the range analysis ignores a basis, so accepting one would
+    # silently drop it
+    code, out, err = run(capsys, command, str(fixtures_dir / "example4.json"), "--basis", basis)
+    assert code == 2
+    assert "--basis needs --bstable" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("basis, typed", [("1,9", "row 9 "), ("1,1", "row 1 ")])
+def test_basis_errors_name_the_row_as_typed(capsys, fixtures_dir, basis, typed):
+    code, out, err = run(capsys, "stability", str(fixtures_dir / "example4.json"), "--basis", basis)
+    assert code == 2
+    assert typed in err
+    assert out == ""
 
 
 def test_sample_oracle_stays_inside_the_range(capsys, fixtures_dir):
@@ -343,13 +362,23 @@ def test_reports_are_deterministic(capsys, fixtures_dir):
     assert first == second
 
 
-def test_reports_validate_against_schema(capsys, fixtures_dir, docs_dir):
+def test_reports_validate_against_schema(capsys, fixtures_dir, docs_dir, tmp_path):
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads((docs_dir / "report_schema.json").read_text(encoding="utf-8"))
+    # every row basic: no nonbasic row bounds the margin, which is "inf"
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({
+        "A": {"mid": [[2.0, 0.0], [0.0, 2.0]], "rad": [[0.1, 0.0], [0.0, 0.1]]},
+        "b": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
+        "c": {"mid": [1.0, 1.0], "rad": [0.0, 0.0]},
+        "D": {"mid": [[0.0, 0.0]] * 2, "rad": [[0.0, 0.0]] * 2},
+    }), encoding="utf-8")
     for argv in (
         ("range", str(fixtures_dir / "example1.json")),
         ("range", str(fixtures_dir / "example3.json")),
         ("stability", str(fixtures_dir / "example4.json"), "--basis", "1,2"),
+        ("stability", str(fixtures_dir / "example4.json"), "--basis", "1,3"),
+        ("stability", str(square), "--basis", "1,2"),
         ("worst", str(fixtures_dir / "example4.json"), "--bstable", "--basis", "1,2"),
         ("sample-oracle", str(fixtures_dir / "example2.json"), "--samples", "8"),
     ):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avlprange import (
     IntervalMatrix,
@@ -199,7 +201,8 @@ class TestEnclosure:
             enclose_interval_solution(rotated, b)
 
     def test_singular_midpoint_after_a_beeck_test(self):
-        # the Beeck test and the enclosure share one midpoint inverse
+        # a singular midpoint reads the same to either routine, in
+        # either order
         singular = IntervalMatrix.from_point([[1.0, 1.0], [1.0, 1.0]])
         assert beeck_regular(singular).reason == "midpoint-singular"
         with pytest.raises(
@@ -213,6 +216,24 @@ class TestEnclosure:
         with pytest.raises(DimensionError):
             enclose_interval_solution(a, IntervalVector.from_point([1.0]))
 
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), target=st.floats(0.9, 1.1))
+def test_an_enclosure_implies_a_passed_beeck_test(seed, n, target):
+    # the enclosure's gate matrix |I - R mid| + |R| rad dominates Beeck's
+    # |R| rad entrywise, so its spectral radius is at least Beeck's
+    # statistic; the radii are scaled to put that statistic near 1,
+    # where both tests are close to failing
+    rng = np.random.default_rng(seed)
+    mid = rng.normal(size=(n, n))
+    shape = rng.uniform(0.0, 1.0, (n, n))
+    statistic = np.max(np.abs(np.linalg.eigvals(np.abs(np.linalg.inv(mid)) @ shape)))
+    matrix = IntervalMatrix.from_midrad(mid, (target / statistic) * shape)
+    try:
+        enclose_interval_solution(matrix, IntervalVector.from_point(np.ones(n)))
+    except UnknownRegularityError:
+        return
+    assert beeck_regular(matrix).verified
 
 _WITHOUT_SCIPY = """
 import sys

@@ -720,10 +720,11 @@ def test_tied_signs_are_tried_in_order_until_one_certifies(monkeypatch):
 )
 def test_row_permutation_leaves_the_exact_optima_unchanged(seed, stable, data):
     # best and worst_lower are optima of their programs, so neither the
-    # order of the rows nor the substitution x_j -> -x_j on some columns
-    # (A[:, j] and c_j reflected, |x_j| and so D unchanged) can change
-    # them; worst_upper and lower_tight follow the pivot path and are
-    # not compared
+    # order of the rows, nor the order of the variables (the columns of
+    # A, D and c permuted together), nor the substitution x_j -> -x_j on
+    # some columns (A[:, j] and c_j reflected, |x_j| and so D unchanged)
+    # can change them; worst_upper and lower_tight follow the pivot path
+    # and are not compared
     rng = np.random.default_rng(seed)
     problem = random_stable_problem(rng)[0] if stable else random_box_bounded_problem(rng)
     order = np.array(data.draw(st.permutations(range(problem.m))))
@@ -732,6 +733,13 @@ def test_row_permutation_leaves_the_exact_optima_unchanged(seed, stable, data):
         b=problem.b.take(order),
         c=problem.c,
         D=problem.D.take_rows(order),
+    )
+    columns = np.array(data.draw(st.permutations(range(problem.n))))
+    renumbered = AvlpProblem(
+        A=problem.A.T.take_rows(columns).T,
+        b=problem.b,
+        c=problem.c.take(columns),
+        D=problem.D.T.take_rows(columns).T,
     )
     flip = np.array(data.draw(st.lists(st.booleans(), min_size=problem.n, max_size=problem.n)))
     reflected = AvlpProblem(
@@ -747,7 +755,7 @@ def test_row_permutation_leaves_the_exact_optima_unchanged(seed, stable, data):
         D=problem.D,
     )
     report = full_range(problem)
-    for other in (full_range(permuted), full_range(reflected)):
+    for other in (full_range(permuted), full_range(renumbered), full_range(reflected)):
         for key in ("best", "worst_lower"):
             want, got = getattr(report, key), getattr(other, key)
             assert want is not None and got is not None

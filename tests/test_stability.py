@@ -74,7 +74,6 @@ class TestCertificate:
     def test_example4_basis_is_verified_nondegenerate(self, example4):
         cert = verify_b_stability(example4, Basis((0, 1)))
         assert cert.status is CertificateStatus.VERIFIED_NONDEGENERATE
-        assert cert.regularity is not None and cert.regularity.verified
         assert cert.primal_margin == pytest.approx(0.4334, abs=1e-3)
         assert cert.dual_margin == pytest.approx(0.1021, abs=1e-3)
         box = cert.primal_enclosure
@@ -96,10 +95,10 @@ class TestCertificate:
 
 
     def test_one_verified_certificate_inverts_two_midpoints(self, example4, monkeypatch):
-        # the Beeck test and the primal enclosure share the basic
-        # block's inverse; the dual enclosure inverts its transpose.
-        # Comparison matrices of the enclosures are inverted too, so
-        # only calls on the two midpoints count.
+        # the primal enclosure inverts the basic block's midpoint and
+        # the dual enclosure its transpose; no regularity test inverts
+        # either again.  Comparison matrices of the enclosures are
+        # inverted too, so only calls on the two midpoints count.
         mid = relaxed_interval_lp(example4)[0].take_rows([0, 1]).mid
         calls = []
         inv = np.linalg.inv
@@ -125,15 +124,13 @@ class TestCertificate:
         )
         cert = verify_b_stability(problem, (0, 1))
         assert cert.status is CertificateStatus.UNKNOWN
-        assert cert.regularity.reason == "midpoint-singular"
-        assert cert.reason == (
-            "regularity of the basic block could not be verified (midpoint-singular)"
-        )
+        assert cert.reason == "primal enclosure failed: unknown-regularity: midpoint is singular"
 
     def test_block_verified_by_rex_rohn_alone(self):
         # Beeck's test declines this block and the singular-value test
         # proves it regular; its preconditioned system still does not
-        # contract, so no enclosure follows
+        # contract, so no enclosure follows and the certificate stays
+        # unknown
         problem = AvlpProblem(
             A=IntervalMatrix.from_midrad([[1.0, 1.0], [-1.0, 1.0]], 1.2 * np.eye(2)),
             b=IntervalVector.from_point([1.0, 2.0]),
@@ -141,10 +138,11 @@ class TestCertificate:
             D=IntervalMatrix.from_point(np.zeros((2, 2))),
         )
         cert = verify_b_stability(problem, (0, 1))
-        assert cert.regularity.condition == "rex-rohn"
-        assert cert.regularity.verified
         assert cert.status is CertificateStatus.UNKNOWN
-        assert cert.reason.startswith("primal enclosure failed")
+        assert cert.reason.startswith(
+            "primal enclosure failed: unknown-regularity: preconditioned system "
+            "does not contract"
+        )
 
     def test_analysis_leaves_the_problem_untouched(self, example4):
         owned = (example4, example4.A, example4.b, example4.c, example4.D)
