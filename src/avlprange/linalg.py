@@ -4,12 +4,18 @@ The enclosure routine covers the united solution set of ``M x = b``
 for a square interval matrix and interval right side with one formula:
 the Hansen-Bliek-Rohn bound of the system preconditioned by the
 inverse midpoint ``R``.  Its contraction gate,
-``rho(|I - R mid| + |R| rad) < 1``, proves the interval matrix regular
-and makes ``R M`` an H-matrix, which is the assumption under which the
-Hansen-Bliek-Rohn bound is valid and sharp for the preconditioned
-system, so no separate regularity test runs first.  When the gate
-fails, or the bound cannot be formed in floating point, the routine
-raises ``UnknownRegularityError`` and never returns an unverified box.
+``rho(C) <= 1 - REGULARITY_MARGIN`` for ``C = |I - R mid| + |R| rad``,
+proves the interval matrix regular and makes ``R M`` an H-matrix,
+which is the assumption under which the Hansen-Bliek-Rohn bound is
+valid and sharp for the preconditioned system, so no separate
+regularity test runs first.  The gate is proved by a positive vector
+``v`` with ``C v <= (1 - REGULARITY_MARGIN) v`` (Collatz-Wielandt),
+a certificate anyone can check by one product, and no eigenvalue is
+computed.  The product is formed in floating point without directed
+rounding; outward rounding of the gate and of the bound is an open
+item.  When the gate fails, or the bound cannot be formed in floating
+point, the routine raises ``UnknownRegularityError`` and never returns
+an unverified box.
 
 Square solves here and in ``simplex._basis_solution`` go through one
 checked inverse from ``numpy.linalg.inv``, so the runtime needs numpy
@@ -35,6 +41,10 @@ PIVOT_RTOL = 1e-12
 
 #: Residual contract for square solves, relative to the natural scale.
 RESIDUAL_RTOL = 1e-8
+
+#: Steps of ``v <- C v + 1`` that build the contraction gate's positive
+#: vector.  Three sufficed on every gate the basis-stable pools reach.
+GATE_STEPS = 3
 
 
 def _checked_inverse(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -130,17 +140,35 @@ def _hansen_bliek_rohn(a_lo, a_hi, b_lo, b_hi):
     return quotients.min(axis=0), quotients.max(axis=0)
 
 
+def _contraction_ratio(gap: np.ndarray) -> tuple[float, np.ndarray]:
+    """``max_i (C v)_i / v_i`` for the nonnegative matrix ``C = gap``
+    and a positive vector ``v``, and that ``v``.
+
+    For any positive ``v`` the quotient bounds ``rho(C)`` from above
+    (Collatz-Wielandt), so ``C v <= q v`` proves ``rho(C) <= q``.  ``v``
+    is ``GATE_STEPS`` steps of ``v <- C v + 1`` from the ones vector,
+    which tilts it towards the Perron vector of ``C``; each entry is at
+    least 1.
+    """
+    v = np.ones(gap.shape[0])
+    for _ in range(GATE_STEPS):
+        v = gap @ v + 1.0
+    return float((gap @ v / v).max()), v
+
+
 def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> IntervalVector:
     """Box containing every solution of every member system ``M' x = b'``.
 
     With ``R`` the inverse midpoint, the contraction gate
-    ``rho(|I - R mid(M)| + |R| rad(M)) <= 1 - REGULARITY_MARGIN`` proves
-    ``M`` regular and makes the preconditioned matrix ``R M`` an
-    H-matrix, which is exactly what the Hansen-Bliek-Rohn bound
-    assumes; the box returned is that bound for the preconditioned
-    system ``R M x = R b``.  A singular midpoint, a non-finite
-    statistic, a failed gate, or a bound that cannot be formed in
-    floating point raise ``UnknownRegularityError``.
+    ``rho(|I - R mid(M)| + |R| rad(M)) <= 1 - REGULARITY_MARGIN``,
+    proved by the quotient of ``_contraction_ratio``, proves ``M``
+    regular and makes the preconditioned matrix ``R M`` an H-matrix,
+    which is exactly what the Hansen-Bliek-Rohn bound assumes; the box
+    returned is that bound for the preconditioned system
+    ``R M x = R b``.  A singular midpoint, a non-finite statistic, a
+    failed gate, or a bound that cannot be formed in floating point
+    raise ``UnknownRegularityError``; the reason of a failed gate
+    reports the quotient as its statistic.
     """
     m, n = matrix.shape
     if m != n:
@@ -161,18 +189,20 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
     gap = np.abs(np.eye(n) - pre_mid) + pre_rad
     if not np.isfinite(gap).all():
         raise UnknownRegularityError("unknown-regularity: contraction statistic is not finite")
-    rho = float(np.abs(np.linalg.eigvals(gap)).max())
-    if rho > 1.0 - REGULARITY_MARGIN:
+    ratio, _ = _contraction_ratio(gap)
+    # also false for nan, which an overflowing v gives
+    if not ratio <= 1.0 - REGULARITY_MARGIN:
         raise UnknownRegularityError(
             f"unknown-regularity: preconditioned system does not contract "
-            f"(statistic {rho:.6f}); cannot produce a verified enclosure"
+            f"(statistic {ratio:.6f}); cannot produce a verified enclosure"
         )
 
     bound = _hansen_bliek_rohn(
         pre_mid - pre_rad, pre_mid + pre_rad, rhs_mid - rhs_rad, rhs_mid + rhs_rad
     )
-    if bound is None:
+    if bound is None or not (np.isfinite(bound[0]).all() and np.isfinite(bound[1]).all()):
         raise UnknownRegularityError(
             "unknown-regularity: Hansen-Bliek-Rohn bound could not be formed"
         )
-    return IntervalVector(*bound)
+    # min <= max entrywise, and both are finite
+    return IntervalVector._inherit(*bound)

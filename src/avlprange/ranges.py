@@ -139,17 +139,23 @@ class AvlpProblem:
         A, c = self._picks(-s.as_array())
         return A, self.b.inf, c, self.D.inf
 
-    def _picks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _picks(
+        self, t: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Matrix ``mid(A) - rad(A) diag(t)`` and cost ``mid(c) +
         diag(t) rad(c)`` for signs ``t``, the package's one corner
-        formula.  The weights on ``inf``, ``(1 + t) / 2`` for ``A`` and
-        ``(1 - t) / 2`` for ``c``, are 0 or 1, so each entry is ``inf``
-        or ``sup`` exactly."""
+        formula; given ``rows``, only those rows of the matrix.  The
+        weights on ``inf``, ``(1 + t) / 2`` for ``A`` and ``(1 - t) / 2``
+        for ``c``, are 0 or 1, so each entry is ``inf`` or ``sup``
+        exactly."""
         if t.shape[0] != self.n:
             raise DimensionError(f"column selector must have length {self.n}, got {len(t)}")
+        a_inf, a_sup = self.A.inf, self.A.sup
+        if rows is not None:
+            a_inf, a_sup = a_inf[rows], a_sup[rows]
         w = 0.5 * (1.0 + t)
         v = 0.5 * (1.0 - t)
-        return w * self.A.inf + (1.0 - w) * self.A.sup, v * self.c.inf + (1.0 - v) * self.c.sup
+        return w * a_inf + (1.0 - w) * a_sup, v * self.c.inf + (1.0 - v) * self.c.sup
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +173,17 @@ class Realization:
         for name, ndim in (("A", 2), ("b", 1), ("c", 1), ("D", 2)):
             arr = _as_float_array(getattr(self, name), ndim, name)
             object.__setattr__(self, name, _freeze(arr))
+
+    @classmethod
+    def _trusted(cls, A, b, c, D) -> "Realization":
+        """A realization on float arrays already known to be finite and
+        of consistent shapes, built from a validated problem's data
+        without checking them again.  The arrays are frozen, not
+        copied."""
+        realization = object.__new__(cls)
+        for name, value in (("A", A), ("b", b), ("c", c), ("D", D)):
+            object.__setattr__(realization, name, _freeze(value))
+        return realization
 
     def program(self) -> GenAvlpProgram:
         return from_realization(self.A, self.b, self.c, self.D)

@@ -405,7 +405,10 @@ def _run_phase_batch(
             at, scratch, ratio_buf = at[: live.size], scratch[: live.size], ratio_buf[: live.size]
             rc, rhs, obj = Tw[:, k, :ncols], Tw[:, :k, -1], Tw[:, k, -1]
             j, colj, eligible, ratio = j[keep], colj[keep], eligible[keep], ratio[keep]
-        theta = ratio.min(1)
+        # the row of each minimum gives theta faster than a per-row
+        # min; only the sign of a zero theta can differ, which neither
+        # cutoff nor settled reads
+        theta = ratio[at, ratio.argmin(1)]
         cutoff = theta + 1e-12 * (1.0 + np.abs(theta))
         r = np.where(eligible & (ratio <= cutoff[:, None]), bw, width).argmin(1)
         settled[theta > tol] = step

@@ -9,8 +9,17 @@ solutions that keeps every nonbasic row satisfied, and a verified
 nonnegative (for nondegeneracy: strictly positive) enclosure of the
 basic multipliers.  The primal enclosure's contraction gate
 (``linalg.enclose_interval_solution``) is also the proof that the
-basic block is regular; no separate regularity test runs.  The third
-outcome is an honest ``unknown``; instability is never asserted.
+basic block is regular; no separate regularity test runs.  That gate
+is a positive vector ``v`` with ``C v <= (1 - REGULARITY_MARGIN) v``
+for the preconditioned block's distance ``C`` from the identity,
+checked in floating point; outward rounding of it is an open item.
+The third outcome is an honest ``unknown``; instability is never
+asserted.
+
+The three calls form one pass over the basic block: the certificate
+carries the basis rows it validated and the widened basic block it
+built, and the value functions reuse them when they get the same
+problem and basis objects.
 
 Under a verified certificate the range endpoints collapse to single
 solves: the best case is one ordinary LP in the multipliers, and the
@@ -30,7 +39,7 @@ iteration run instead.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -130,6 +139,18 @@ _BEST_ACCEPTS = (CertificateStatus.VERIFIED, CertificateStatus.VERIFIED_NONDEGEN
 _WORST_ACCEPTS = (CertificateStatus.VERIFIED_NONDEGENERATE,)
 
 
+@dataclass(frozen=True, eq=False)
+class _BasicBlock:
+    """What ``verify_b_stability`` validated and built for ``problem``
+    and ``basis`` (as given): the basis rows, and those rows of
+    ``relaxed_interval_lp``'s widened matrix."""
+
+    problem: AvlpProblem
+    basis: object
+    rows: np.ndarray
+    basic: IntervalMatrix
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Outcome of the sufficient checks.
@@ -140,6 +161,11 @@ class StabilityCertificate:
     rows over the primal enclosure; ``dual_margin`` the smallest lower
     bound of the multiplier enclosure.  On ``unknown`` the first
     failing check is named in ``reason`` and later fields may be None.
+
+    ``_block`` carries the validated basis rows and the widened basic
+    block to ``best_case_bstable`` and ``worst_case_bstable``, which
+    reuse them when called with the same problem and basis objects.
+    It takes no part in ``repr`` or comparison.
     """
 
     status: CertificateStatus
@@ -148,6 +174,7 @@ class StabilityCertificate:
     dual_enclosure: IntervalVector | None = None
     dual_margin: float | None = None
     reason: str | None = None
+    _block: _BasicBlock | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -187,6 +214,30 @@ def _basis_rows(basis, problem: AvlpProblem) -> np.ndarray:
     return rows
 
 
+def _block_of(problem: AvlpProblem, basis) -> tuple[_BasicBlock, IntervalMatrix]:
+    """The basic block of ``basis`` and the whole widened matrix."""
+    rows = _basis_rows(basis, problem)
+    star, _, _ = relaxed_interval_lp(problem)
+    return _BasicBlock(problem, basis, rows, star.take_rows(rows)), star
+
+
+def _certified_block(
+    problem: AvlpProblem, basis, certificate: StabilityCertificate | None
+) -> _BasicBlock | None:
+    """The certificate's block when it was built for this problem
+    object and this basis object, else None.  Only a tuple or a
+    ``Basis`` counts, since a list could have changed since."""
+    block = None if certificate is None else certificate._block
+    if (
+        block is not None
+        and block.problem is problem
+        and block.basis is basis
+        and isinstance(basis, (tuple, Basis))
+    ):
+        return block
+    return None
+
+
 def verify_b_stability(
     problem: AvlpProblem, basis, tol: float = DEFAULT_TOL
 ) -> StabilityCertificate:
@@ -202,9 +253,9 @@ def verify_b_stability(
     (with the failing check named) otherwise.
     """
     _check_tolerances(tol)
-    rows = _basis_rows(basis, problem)
-    star, rhs, cost = relaxed_interval_lp(problem)
-    basic = star.take_rows(rows)
+    block, star = _block_of(problem, basis)
+    rows, basic = block.rows, block.basic
+    rhs, cost = problem.b, problem.c
 
     try:
         primal = enclose_interval_solution(basic, rhs.take(rows))
@@ -212,6 +263,7 @@ def verify_b_stability(
         return StabilityCertificate(
             status=CertificateStatus.UNKNOWN,
             reason=f"primal enclosure failed: {exc}",
+            _block=block,
         )
 
     comp = _complement(rows, problem.m)
@@ -230,6 +282,7 @@ def verify_b_stability(
             primal_margin=primal_margin,
             reason=f"nonbasic row {worst_row + 1} not verifiably satisfied "
             f"(margin {primal_margin:.3g})",
+            _block=block,
         )
 
     try:
@@ -240,6 +293,7 @@ def verify_b_stability(
             primal_enclosure=primal,
             primal_margin=primal_margin,
             reason=f"dual enclosure failed: {exc}",
+            _block=block,
         )
     dual_margin = float(dual.inf.min())
     if dual_margin < 0.0:
@@ -252,6 +306,7 @@ def verify_b_stability(
             dual_margin=dual_margin,
             reason=f"multiplier {which + 1} not verifiably nonnegative "
             f"(lower bound {dual_margin:.3g})",
+            _block=block,
         )
 
     status = (
@@ -265,6 +320,7 @@ def verify_b_stability(
         primal_margin=primal_margin,
         dual_enclosure=dual,
         dual_margin=dual_margin,
+        _block=block,
     )
 
 
@@ -328,15 +384,19 @@ def best_case_bstable(
     which equals ``sup(b)_B @ y`` there.  When the check fails (a
     certificate for another basis, say), or the enclosure touches zero,
     or there is no certificate, the LP is solved by the simplex method.
+
+    A certificate that ``verify_b_stability`` gave for these same
+    problem and basis objects also lends its validated rows and widened
+    basic block; otherwise both are built again.
     """
     _check_tolerances(tol)
-    rows = _basis_rows(basis, problem)
+    block = _certified_block(problem, basis, certificate) or _block_of(problem, basis)[0]
     _warn_unverified(certificate, "basis stability", _BEST_ACCEPTS)
-    star, rhs, cost = relaxed_interval_lp(problem)
+    rows, basic = block.rows, block.basic
     n = problem.n
-    c = rhs.sup[rows]
-    G = np.vstack([star.inf[rows].T, -star.sup[rows].T, -np.eye(n)])
-    g = np.concatenate([cost.sup, -cost.inf, np.zeros(n)])
+    c = problem.b.sup[rows]
+    G = np.vstack([basic.inf.T, -basic.sup.T, -np.eye(n)])
+    g = np.concatenate([problem.c.sup, -problem.c.inf, np.zeros(n)])
     signs = _enclosure_signs(certificate, n)
     if signs is not None:
         pinned = np.where(signs > 0.0, np.arange(n), n + np.arange(n))
@@ -451,13 +511,18 @@ def worst_case_bstable(
     ``S``: one square solve, accepted when ``S * x >= 0`` and the
     residual meets the contract of ``solve_gave``.  Otherwise, or when
     that check fails, ``solve_gave`` runs.
+
+    Only the basic rows are read, apart from the witness's nonbasic
+    rows at ``mid(A)``.  A certificate that ``verify_b_stability`` gave
+    for these same problem and basis objects lends its validated rows.
     """
-    rows = _basis_rows(basis, problem)
+    block = _certified_block(problem, basis, certificate)
+    rows = _basis_rows(basis, problem) if block is None else block.rows
     _warn_unverified(certificate, "nondegenerate basis stability", _WORST_ACCEPTS)
 
-    mid = problem.A.mid
-    M = mid[rows]
-    F = (problem.A.rad - problem.D.inf)[rows]
+    basic = problem.A.take_rows(rows)
+    M = basic.mid
+    F = basic.rad - problem.D.inf[rows]
     g = problem.b.inf[rows]
     x_star = None
     signs = _enclosure_signs(certificate, problem.n)
@@ -469,9 +534,11 @@ def worst_case_bstable(
         x_star = solve_gave(GaveSystem(M=M, F=F, g=g), cap=cap)
     value = float(problem.c.mid @ x_star - problem.c.rad @ np.abs(x_star))
 
-    A, b, c, D = problem._worst_corner_arrays(sign_of(x_star))
-    mid[rows] = A[rows]
-    return value, x_star, Realization(A=mid, b=b, c=c, D=D)
+    # the worst corner at sign(x*), sign(0) = +1, on the basic rows
+    corner, c = problem._picks(np.where(x_star >= 0.0, -1.0, 1.0), rows)
+    A = problem.A.mid
+    A[rows] = corner
+    return value, x_star, Realization._trusted(A, problem.b.inf, c, problem.D.inf)
 
 
 __all__ = [

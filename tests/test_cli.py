@@ -387,6 +387,81 @@ def test_reports_validate_against_schema(capsys, fixtures_dir, docs_dir, tmp_pat
         jsonschema.validate(report, schema)
 
 
+def _block_reports(fixtures_dir):
+    """One command line for each shape of witnesses and logs block."""
+    ex1, ex2, ex4 = (str(fixtures_dir / f"example{i}.json") for i in (1, 2, 4))
+    return (
+        ("range", ex1),
+        ("worst", ex1),
+        ("worst", ex4, "--bstable", "--basis", "1,2"),
+        ("best", ex1),
+        ("best", ex4, "--bstable", "--basis", "1,2"),
+        ("solve", ex1),
+        ("sample-oracle", ex2, "--samples", "2"),
+    )
+
+
+def test_schema_rejects_an_extra_or_a_missing_key(capsys, fixtures_dir, docs_dir):
+    # every key each command writes under witnesses and logs is
+    # required, and no other key is allowed, down to the realization
+    # and iteration-step objects inside them
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((docs_dir / "report_schema.json").read_text(encoding="utf-8"))
+    validator = jsonschema.Draft202012Validator(schema)
+    mutated = set()
+    for argv in _block_reports(fixtures_dir):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert validator.is_valid(report), argv
+        # (path to an object, the keys to drop from it)
+        blocks = [((block,), list(report[block])) for block in ("witnesses", "logs")
+                  if block in report]
+        witnesses = report.get("witnesses", {})
+        for key in ("best", "worst_upper", "realization"):
+            if witnesses.get(key) is not None:
+                blocks.append((("witnesses", key), ["A", "b", "c", "D"]))
+        if report.get("logs", {}).get("upper_iteration"):
+            blocks.append((("logs", "upper_iteration", 0), ["index", "status", "value", "bound", "sign"]))
+        for path, keys in blocks:
+            def copy_at():
+                doc = json.loads(json.dumps(report))
+                target = doc
+                for step in path:
+                    target = target[step]
+                return doc, target
+
+            doc, target = copy_at()
+            target["unexpected"] = None
+            assert not validator.is_valid(doc), (argv, path, "extra key")
+            for key in keys:
+                doc, target = copy_at()
+                del target[key]
+                assert not validator.is_valid(doc), (argv, path, key)
+                mutated.add((path[0], key) if len(path) == 1 else key)
+    assert mutated >= {
+        ("witnesses", "best"), ("witnesses", "worst_upper"), ("witnesses", "optimizer"),
+        ("witnesses", "sign"), ("witnesses", "realization"), ("logs", "upper_iteration"),
+        ("logs", "realization_choice"), ("logs", "note"), "A", "D", "sign", "bound",
+    }
+
+
+def test_range_report_with_a_failed_component_validates(capsys, fixtures_dir, docs_dir,
+                                                         monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    from avlprange import NumericalError, ranges
+
+    def failing(*args, **kwargs):
+        raise NumericalError("best-case sweep failed")
+
+    monkeypatch.setattr(ranges, "best_case", failing)
+    code, report, _ = run_json(capsys, "range", str(fixtures_dir / "example1.json"))
+    assert code == 0
+    assert report["errors"] == {"best": "best-case sweep failed"}
+    assert report["witnesses"]["best"] is None
+    schema = json.loads((docs_dir / "report_schema.json").read_text(encoding="utf-8"))
+    jsonschema.validate(report, schema)
+
+
 def test_schema_names_every_command(docs_dir):
     schema = json.loads((docs_dir / "report_schema.json").read_text(encoding="utf-8"))
     (subparsers,) = [

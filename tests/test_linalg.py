@@ -4,13 +4,15 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import avlprange
 from avlprange import (
     IntervalMatrix,
     IntervalVector,
@@ -21,8 +23,12 @@ from avlprange import (
     rex_rohn_regular,
     solve_square,
 )
+from avlprange import linalg, stability
 from avlprange.errors import DimensionError
-from avlprange.linalg import _checked_inverse
+from avlprange.intervals import REGULARITY_MARGIN
+from avlprange.linalg import _checked_inverse, _contraction_ratio
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestLu:
@@ -216,6 +222,27 @@ class TestEnclosure:
         with pytest.raises(DimensionError):
             enclose_interval_solution(a, IntervalVector.from_point([1.0]))
 
+    def test_overflowing_bound_is_unknown_regularity(self):
+        # the gate passes, but the preconditioned right side overflows;
+        # that is no fault of the input, so it is not an InputError
+        a = IntervalMatrix.from_point(1e-10 * np.eye(2))
+        b = IntervalVector.from_point([1e300, -1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                UnknownRegularityError, match="Hansen-Bliek-Rohn bound could not be formed"
+            ):
+                enclose_interval_solution(a, b)
+
+    def test_gate_computes_no_eigenvalues(self, example4, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvalues computed")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        cert = stability.verify_b_stability(example4, (0, 1))
+        assert cert.status.value == "verified_nondegenerate"
+        stability.best_case_bstable(example4, (0, 1), certificate=cert)
+        stability.worst_case_bstable(example4, (0, 1), certificate=cert)
+
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), target=st.floats(0.9, 1.1))
@@ -234,6 +261,61 @@ def test_an_enclosure_implies_a_passed_beeck_test(seed, n, target):
     except UnknownRegularityError:
         return
     assert beeck_regular(matrix).verified
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    target=st.floats(0.9, 1.1),
+    density=st.floats(0.1, 1.0),
+)
+def test_the_vector_gate_never_passes_a_larger_spectral_radius(seed, n, target, density):
+    # max_i (C v)_i / v_i >= rho(C) for any positive v (Collatz-
+    # Wielandt); nonnegative matrices with zeros, reducible ones among
+    # them, are scaled to put rho(C) near 1, where the gate decides
+    rng = np.random.default_rng(seed)
+    gap = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+    rho = float(np.abs(np.linalg.eigvals(gap)).max())
+    assume(rho > 0.0)
+    gap *= target / rho
+    ratio, v = _contraction_ratio(gap)
+    assert (v >= 1.0).all()
+    if ratio <= 1.0 - REGULARITY_MARGIN:
+        assert float(np.abs(np.linalg.eigvals(gap)).max()) <= 1.0 - REGULARITY_MARGIN
+
+
+def test_pool_gates_hold_in_exact_arithmetic(monkeypatch, tmp_path):
+    # every contraction gate a verified certificate of the seed-0
+    # basis-stable benchmark pool passes: C v <= (1 - margin) v holds
+    # for the float entries of C and v taken as exact rationals
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    gates = []
+    ratio_of = linalg._contraction_ratio
+
+    def recording(gap):
+        ratio, v = ratio_of(gap)
+        gates.append((gap, v))
+        return ratio, v
+
+    monkeypatch.setattr(linalg, "_contraction_ratio", recording)
+    bound = 1 - Fraction(REGULARITY_MARGIN)
+    checked = 0
+    for job in workloads.make("bstable").build(avlprange, 0, tmp_path):
+        gates.clear()
+        cert = stability.verify_b_stability(job.problem, job.basis)
+        if not cert.status.value.startswith("verified"):
+            continue
+        assert len(gates) == 2
+        for gap, v in gates:
+            exact_v = [Fraction(x) for x in v.tolist()]
+            for row, vi in zip(gap.tolist(), exact_v):
+                assert sum(Fraction(c) * x for c, x in zip(row, exact_v)) <= bound * vi
+            checked += 1
+    assert checked == 420
+
 
 _WITHOUT_SCIPY = """
 import sys

@@ -157,6 +157,89 @@ class TestCertificate:
             assert all(new[key] is old[key] for key in old)
 
 
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Calls so far of each of ``names`` in ``stability``, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(stability, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counted)
+    return calls
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of the calls that validate a basis and widen the matrix."""
+    return _count_calls(monkeypatch, ("_basis_rows", "relaxed_interval_lp"))
+
+
+def _answers(problem, basis, cert):
+    """Best value, worst value, ``x*`` and witness, as bytes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        best = best_case_bstable(problem, basis, certificate=cert)
+        value, x_star, witness = worst_case_bstable(problem, basis, certificate=cert)
+    return (best.hex(), value.hex(), x_star.tobytes(),
+            *(getattr(witness, name).tobytes() for name in "AbcD"))
+
+
+class TestCarriedBlock:
+    def test_same_problem_and_basis_reuse_the_block(self, example4, derivations):
+        for basis in ((0, 1), Basis((0, 1))):
+            derivations.update(_basis_rows=0, relaxed_interval_lp=0)
+            cert = verify_b_stability(example4, basis)
+            assert derivations == {"_basis_rows": 1, "relaxed_interval_lp": 1}
+            answers = _answers(example4, basis, cert)
+            assert derivations == {"_basis_rows": 1, "relaxed_interval_lp": 1}
+            assert answers == _answers(example4, basis, replace(cert, _block=None))
+
+    def test_another_problem_or_basis_is_derived_anew(self, example4, derivations):
+        # a certificate whose block is not this problem's and basis's
+        # gives the answers of a certificate without a block: every
+        # array is derived again from the problem and basis passed
+        own = verify_b_stability(example4, (0, 1))
+        scaled = AvlpProblem(
+            A=IntervalMatrix(1.01 * example4.A.inf, 1.01 * example4.A.sup),
+            b=example4.b, c=example4.c, D=example4.D,
+        )
+        copy = AvlpProblem(A=example4.A, b=example4.b, c=example4.c, D=example4.D)
+        cases = [
+            (scaled, (0, 1), own),
+            (copy, (0, 1), own),
+            (example4, (0, 1), verify_b_stability(example4, (2, 3))),
+            (example4, Basis((0, 1)), verify_b_stability(example4, Basis((2, 3)))),
+            # equal rows in another tuple or Basis, or in a list, which
+            # could have changed since
+            (example4, tuple([0, 1]), own),
+            (example4, Basis((0, 1)), verify_b_stability(example4, Basis((0, 1)))),
+            (example4, [0, 1], verify_b_stability(example4, [0, 1])),
+        ]
+        for problem, basis, cert in cases:
+            derivations.update(_basis_rows=0, relaxed_interval_lp=0)
+            answers = _answers(problem, basis, cert)
+            assert derivations == {"_basis_rows": 2, "relaxed_interval_lp": 1}
+            assert answers == _answers(problem, basis, replace(cert, _block=None))
+        assert _answers(scaled, (0, 1), own) != _answers(example4, (0, 1), own)
+
+    def test_certificates_compare_and_print_without_the_block(self, example4):
+        cert = verify_b_stability(example4, (0, 1))
+        shown = ", ".join(
+            f"{name}={getattr(cert, name)!r}"
+            for name in ("status", "primal_enclosure", "primal_margin",
+                         "dual_enclosure", "dual_margin", "reason")
+        )
+        assert repr(cert) == f"StabilityCertificate({shown})"
+        assert cert._block is not None
+        assert cert == replace(cert, _block=None)
+        copy = AvlpProblem(A=example4.A, b=example4.b, c=example4.c, D=example4.D)
+        assert verify_b_stability(copy, Basis((0, 1))) == cert
+        assert verify_b_stability(example4, (0, 2)) != cert
+
+
 class TestStableValues:
     def test_best_matches_global_best(self, example4):
         cert = verify_b_stability(example4, Basis((0, 1)))
@@ -230,16 +313,7 @@ def flip_columns(problem: AvlpProblem, signs) -> AvlpProblem:
 @pytest.fixture
 def fallback_calls(monkeypatch):
     """Counts of the general solvers that the pinned paths replace."""
-    calls = {"solve_lp": 0, "solve_gave": 0}
-    for name in calls:
-        original = getattr(stability, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(stability, name, counted)
-    return calls
+    return _count_calls(monkeypatch, ("solve_lp", "solve_gave"))
 
 
 def _stable_instances():
