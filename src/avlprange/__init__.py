@@ -28,7 +28,6 @@ from .intervals import (
     IntervalVector,
     RegularityCheck,
     SignVector,
-    all_sign_vectors,
     beeck_regular,
     interval_matvec,
     rex_rohn_regular,
@@ -59,10 +58,8 @@ from .simplex import (
 from .stability import (
     Basis,
     CertificateStatus,
-    GaveSystem,
     StabilityCertificate,
     best_case_bstable,
-    solve_gave,
     verify_b_stability,
     worst_case_bstable,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "SignVector",
     "RegularityCheck",
     "sign_of",
-    "all_sign_vectors",
     "beeck_regular",
     "rex_rohn_regular",
     "interval_matvec",
@@ -114,10 +110,8 @@ __all__ = [
     "Basis",
     "CertificateStatus",
     "StabilityCertificate",
-    "GaveSystem",
     "verify_b_stability",
     "best_case_bstable",
-    "solve_gave",
     "worst_case_bstable",
     "parse_problem",
     "problem_from_dict",

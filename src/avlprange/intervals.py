@@ -19,17 +19,20 @@ Sign conventions: the sign of zero is ``+1`` everywhere in this package.
 Two classical sufficient regularity tests (spectral-radius and
 singular-value based) are provided for square interval matrices.  Both
 only ever answer "verified" or "unknown"; they never claim singularity.
+They serve the public API and the benchmark's tracer only: no analysis
+in this package calls them, since the contraction gate of
+``linalg.enclose_interval_solution`` is the one regularity proof the
+analyses use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, NumericalError
 
 #: Global absolute comparison tolerance. Containment and feasibility
 #: checks use this value unless a caller overrides it.
@@ -268,14 +271,6 @@ def sign_of(x) -> SignVector:
     return SignVector.from_point(x)
 
 
-def all_sign_vectors(n: int) -> list[SignVector]:
-    """All 2**n sign vectors of length n in lexicographic order
-    (all-minus first, all-plus last)."""
-    if n < 1:
-        raise InputError("sign vector length must be at least 1")
-    return [SignVector(e) for e in itertools.product((-1, 1), repeat=n)]
-
-
 @dataclass(frozen=True)
 class RegularityCheck:
     """Outcome of a sufficient regularity test.
@@ -338,14 +333,21 @@ def rex_rohn_regular(matrix: IntervalMatrix) -> RegularityCheck:
 
 def interval_matvec(matrix: IntervalMatrix, x: IntervalVector) -> IntervalVector:
     """Interval-arithmetic product of an interval matrix with an
-    interval vector (entrywise products, rowwise sums)."""
+    interval vector (entrywise products, rowwise sums).
+
+    ``lo <= hi`` holds by construction, since rounding is monotone; a
+    product that overflows raises ``NumericalError``.
+    """
     m, n = matrix.shape
     if len(x) != n:
         raise DimensionError(f"vector has length {len(x)}, expected {n}")
-    p1 = matrix.inf * x.inf[None, :]
-    p2 = matrix.inf * x.sup[None, :]
-    p3 = matrix.sup * x.inf[None, :]
-    p4 = matrix.sup * x.sup[None, :]
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
-    return IntervalVector(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p1 = matrix.inf * x.inf[None, :]
+        p2 = matrix.inf * x.sup[None, :]
+        p3 = matrix.sup * x.inf[None, :]
+        p4 = matrix.sup * x.sup[None, :]
+        lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
+        hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise NumericalError("interval product overflows")
+    return IntervalVector._inherit(lo, hi)

@@ -179,30 +179,33 @@ def enclose_interval_solution(matrix: IntervalMatrix, rhs: IntervalVector) -> In
     inv_mid = matrix._mid_inverse()
     if inv_mid is None:
         raise UnknownRegularityError("unknown-regularity: midpoint is singular")
-    abs_inv = np.abs(inv_mid)
-    pre_mid = inv_mid @ matrix.mid
-    pre_rad = abs_inv @ matrix.rad
-    rhs_mid = inv_mid @ rhs.mid
-    rhs_rad = abs_inv @ rhs.rad
+    # overflow and nan only make the checks below fail; they raise the
+    # typed error instead of a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_inv = np.abs(inv_mid)
+        pre_mid = inv_mid @ matrix.mid
+        pre_rad = abs_inv @ matrix.rad
+        rhs_mid = inv_mid @ rhs.mid
+        rhs_rad = abs_inv @ rhs.rad
 
-    # distance of the preconditioned family from the identity
-    gap = np.abs(np.eye(n) - pre_mid) + pre_rad
-    if not np.isfinite(gap).all():
-        raise UnknownRegularityError("unknown-regularity: contraction statistic is not finite")
-    ratio, _ = _contraction_ratio(gap)
-    # also false for nan, which an overflowing v gives
-    if not ratio <= 1.0 - REGULARITY_MARGIN:
-        raise UnknownRegularityError(
-            f"unknown-regularity: preconditioned system does not contract "
-            f"(statistic {ratio:.6f}); cannot produce a verified enclosure"
-        )
+        # distance of the preconditioned family from the identity
+        gap = np.abs(np.eye(n) - pre_mid) + pre_rad
+        if not np.isfinite(gap).all():
+            raise UnknownRegularityError("unknown-regularity: contraction statistic is not finite")
+        ratio, _ = _contraction_ratio(gap)
+        # also false for nan, which an overflowing v gives
+        if not ratio <= 1.0 - REGULARITY_MARGIN:
+            raise UnknownRegularityError(
+                f"unknown-regularity: preconditioned system does not contract "
+                f"(statistic {ratio:.6f}); cannot produce a verified enclosure"
+            )
 
-    bound = _hansen_bliek_rohn(
-        pre_mid - pre_rad, pre_mid + pre_rad, rhs_mid - rhs_rad, rhs_mid + rhs_rad
-    )
-    if bound is None or not (np.isfinite(bound[0]).all() and np.isfinite(bound[1]).all()):
-        raise UnknownRegularityError(
-            "unknown-regularity: Hansen-Bliek-Rohn bound could not be formed"
+        bound = _hansen_bliek_rohn(
+            pre_mid - pre_rad, pre_mid + pre_rad, rhs_mid - rhs_rad, rhs_mid + rhs_rad
         )
+        if bound is None or not (np.isfinite(bound[0]).all() and np.isfinite(bound[1]).all()):
+            raise UnknownRegularityError(
+                "unknown-regularity: Hansen-Bliek-Rohn bound could not be formed"
+            )
     # min <= max entrywise, and both are finite
     return IntervalVector._inherit(*bound)

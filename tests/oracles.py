@@ -290,14 +290,17 @@ def random_box_bounded_problem(rng, relief=0.0):
     )
 
 
-def random_stable_problem(rng):
+def random_stable_problem(rng, scale=1e-3, near_zero=False):
     """Problem built so its first n rows form a stable optimal basis.
 
     The basic block is diagonally dominant, the cost is a positive
     combination of the basic rows, and the right side puts the basic
-    vertex strictly inside every nonbasic row.  Radii are small enough
-    that the stability certificate usually verifies; callers filter on
-    it.  Returns ``(problem, basis_rows)``.
+    vertex strictly inside every nonbasic row.  Radii (``scale`` times
+    uniform draws) are small enough at the default that the stability
+    certificate usually verifies; callers filter on it.  With
+    ``near_zero`` the first entry of the nominal basic solution is
+    drawn within ``scale / 10`` of zero, so its enclosure may touch
+    zero.  Returns ``(problem, basis_rows)``.
     """
     n = int(rng.integers(2, 4))
     extra = int(rng.integers(1, 4))
@@ -305,13 +308,14 @@ def random_stable_problem(rng):
     block = rng.uniform(-0.5, 0.5, (n, n))
     block[np.arange(n), np.arange(n)] = rng.uniform(2.0, 4.0, n)
     x_star = rng.uniform(0.5, 2.0, n)
+    if near_zero:
+        x_star[0] = scale * rng.uniform(-0.1, 0.1)
     y_star = rng.uniform(0.5, 2.0, n)
     a_mid = np.vstack([block, rng.uniform(-1.0, 1.0, (extra, n))])
     b_mid = np.concatenate(
         [block @ x_star, a_mid[n:] @ x_star + rng.uniform(0.5, 1.5, extra)]
     )
     c_mid = block.T @ y_star
-    scale = 1e-3
     d_sup = scale * rng.uniform(0.0, 1.0, (m, n))
     problem = AvlpProblem(
         A=IntervalMatrix.from_midrad(a_mid, scale * rng.uniform(0.0, 1.0, (m, n))),
@@ -340,3 +344,30 @@ def random_gave(rng):
         F = F * (target / stat)
     g = rng.uniform(-3.0, 3.0, n)
     return M, F, g
+
+
+def gave_problem(M, F, g, y):
+    """Problem with one row per variable whose basis ``(0, ..., n-1)``
+    has the worst-case system ``M x + F |x| = g``.
+
+    ``A`` has midpoint ``M`` and radius ``max(F, 0)``, ``D`` is the
+    point ``max(-F, 0)``, ``b`` the point ``g`` and ``c`` the point
+    ``M.T @ y``, so ``y`` solves the midpoint dual system.  The arrays
+    the package reads back (``mid``, ``rad``) may differ from ``M`` and
+    ``F`` by rounding; oracles should start from the problem's own.
+    """
+    M = np.asarray(M, dtype=float)
+    F = np.asarray(F, dtype=float)
+    relief = np.maximum(-F, 0.0)
+    return AvlpProblem(
+        A=IntervalMatrix.from_midrad(M, np.maximum(F, 0.0)),
+        b=IntervalVector.from_point(g),
+        c=IntervalVector.from_point(M.T @ np.asarray(y, dtype=float)),
+        D=IntervalMatrix(relief, relief),
+    )
+
+
+def worst_system(problem, rows):
+    """``(M, F, g)`` of the worst-case system over the basic ``rows``."""
+    rows = np.asarray(rows)
+    return problem.A.mid[rows], (problem.A.rad - problem.D.inf)[rows], problem.b.inf[rows]

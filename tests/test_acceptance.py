@@ -12,7 +12,6 @@ from avlprange import (
     AvlpProblem,
     Basis,
     CertificateStatus,
-    GaveSystem,
     IntervalMatrix,
     LpProblem,
     Realization,
@@ -20,7 +19,6 @@ from avlprange import (
     best_case,
     best_case_bstable,
     sample_realization,
-    solve_gave,
     solve_lp,
     verify_b_stability,
     worst_case_bstable,
@@ -31,12 +29,14 @@ from avlprange import (
 from oracles import (
     bstable_characterizations,
     corner_solution_hull,
+    gave_problem,
     gave_solutions,
     lp_oracle,
     random_box_bounded_problem,
     random_gave,
     random_lp,
     random_stable_problem,
+    worst_system,
 )
 
 
@@ -102,16 +102,11 @@ def test_example4_stable_basis_workflow(example4):
     )
 
     rows = list(basis)
-    x_star = solve_gave(
-        GaveSystem(
-            M=example4.A.mid[rows],
-            F=(example4.A.rad - example4.D.inf)[rows],
-            g=example4.b.inf[rows],
-        )
-    )
-    assert x_star == pytest.approx([3.0445, 8.3841], abs=1e-3)
+    (expected_x,) = gave_solutions(*worst_system(example4, rows))
+    assert expected_x == pytest.approx([3.0445, 8.3841], abs=1e-3)
 
-    value, _, _ = worst_case_bstable(example4, basis, certificate=cert)
+    value, x_star, _ = worst_case_bstable(example4, basis, certificate=cert)
+    assert x_star == pytest.approx(expected_x, abs=1e-9)
     assert value == pytest.approx(19.813, abs=1e-3)
 
     # basic system in the positive orthant, where |x| = x folds the
@@ -191,10 +186,20 @@ def test_simplex_agrees_with_vertex_enumeration():
 
 
 def test_sign_iteration_agrees_with_exhaustive_enumeration():
+    # random uniquely solvable systems, each the worst-case system of a
+    # problem whose basis is certified
     rng = np.random.default_rng(88)
-    for _ in range(100):
+    seen = 0
+    while seen < 100:
         M, F, g = random_gave(rng)
-        x = solve_gave(GaveSystem(M=M, F=F, g=g))
+        problem = gave_problem(M, F, g, rng.uniform(0.5, 2.0, len(g)))
+        rows = tuple(range(len(g)))
+        cert = verify_b_stability(problem, rows)
+        if cert.status is not CertificateStatus.VERIFIED_NONDEGENERATE:
+            continue
+        seen += 1
+        _, x, _ = worst_case_bstable(problem, rows, certificate=cert)
+        M, F, g = worst_system(problem, rows)
         sols = gave_solutions(M, F, g)
         assert len(sols) == 1
         assert np.allclose(x, sols[0], atol=1e-7)

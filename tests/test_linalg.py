@@ -227,11 +227,17 @@ class TestEnclosure:
         # that is no fault of the input, so it is not an InputError
         a = IntervalMatrix.from_point(1e-10 * np.eye(2))
         b = IntervalVector.from_point([1e300, -1e300])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                UnknownRegularityError, match="Hansen-Bliek-Rohn bound could not be formed"
-            ):
-                enclose_interval_solution(a, b)
+        with pytest.raises(
+            UnknownRegularityError, match="Hansen-Bliek-Rohn bound could not be formed"
+        ):
+            enclose_interval_solution(a, b)
+
+    def test_overflowing_gate_vector_is_unknown_regularity(self):
+        # the distance from the identity is finite, with entries 1e200
+        # off the diagonal, but the gate's positive vector overflows
+        a = IntervalMatrix.from_midrad(1e-200 * np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(UnknownRegularityError, match=r"does not contract \(statistic nan\)"):
+            enclose_interval_solution(a, IntervalVector.from_point([1.0, 1.0]))
 
     def test_gate_computes_no_eigenvalues(self, example4, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Best case, worst-case bracket, tightness certificate, aggregation."""
 
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -20,7 +21,6 @@ from avlprange import (
     SignVector,
     SizeCapError,
     Status,
-    all_sign_vectors,
     best_case,
     best_case_bstable,
     full_range,
@@ -171,7 +171,7 @@ def test_corners_sit_on_the_documented_endpoints(name, request):
     else:
         problem = request.getfixturevalue(name)
     A, b, c, D = problem.A, problem.b, problem.c, problem.D
-    for s in all_sign_vectors(problem.n):
+    for s in map(SignVector, itertools.product((-1, 1), repeat=problem.n)):
         plus = s.as_array()[None, :] > 0
         best = problem.best_corner(s)
         assert np.array_equal(best.A, np.where(plus, A.inf, A.sup))
@@ -381,7 +381,7 @@ def test_entry_points_reject_fewer_than_one_iteration(example1, entry):
 def test_lower_tightness_returns_a_bool(request, name):
     problem = request.getfixturevalue(name)
     bound = worst_lower_bound(problem)
-    for s in all_sign_vectors(problem.n):
+    for s in map(SignVector, itertools.product((-1, 1), repeat=problem.n)):
         assert type(lower_tightness(problem, s, bound)) is bool
 
 

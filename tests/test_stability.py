@@ -1,7 +1,6 @@
 """Basis stability certificate, stable best/worst values, square
 absolute-value systems."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,22 +11,32 @@ from avlprange import (
     AvlpProblem,
     Basis,
     CertificateStatus,
-    GaveSystem,
     InputError,
     IntervalMatrix,
     IntervalVector,
+    LpProblem,
     NumericalError,
-    SizeCapError,
     StabilityCertificate,
     Status,
     best_case_bstable,
+    rex_rohn_regular,
+    beeck_regular,
     relaxed_interval_lp,
-    solve_gave,
+    solve_lp,
+    solve_square,
     verify_b_stability,
     worst_case_bstable,
+    worst_lower_bound,
 )
 
-from oracles import bstable_characterizations, gave_solutions, random_gave, random_stable_problem
+from oracles import (
+    bstable_characterizations,
+    gave_problem,
+    gave_solutions,
+    random_gave,
+    random_stable_problem,
+    worst_system,
+)
 
 WORST_EX4 = 19.81264637002342
 
@@ -179,10 +188,8 @@ def derivations(monkeypatch):
 
 def _answers(problem, basis, cert):
     """Best value, worst value, ``x*`` and witness, as bytes."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        best = best_case_bstable(problem, basis, certificate=cert)
-        value, x_star, witness = worst_case_bstable(problem, basis, certificate=cert)
+    best = best_case_bstable(problem, basis, certificate=cert)
+    value, x_star, witness = worst_case_bstable(problem, basis, certificate=cert)
     return (best.hex(), value.hex(), x_star.tobytes(),
             *(getattr(witness, name).tobytes() for name in "AbcD"))
 
@@ -198,30 +205,36 @@ class TestCarriedBlock:
             assert answers == _answers(example4, basis, replace(cert, _block=None))
 
     def test_another_problem_or_basis_is_derived_anew(self, example4, derivations):
-        # a certificate whose block is not this problem's and basis's
-        # gives the answers of a certificate without a block: every
-        # array is derived again from the problem and basis passed
-        own = verify_b_stability(example4, (0, 1))
+        # a certificate that verify_b_stability did not issue for this
+        # problem and basis, with the status and enclosure it carries,
+        # is not trusted: each value function derives its own, which
+        # gives the answers of a certificate without a block
+        basis = (0, 1)
+        own = verify_b_stability(example4, basis)
         scaled = AvlpProblem(
             A=IntervalMatrix(1.01 * example4.A.inf, 1.01 * example4.A.sup),
             b=example4.b, c=example4.c, D=example4.D,
         )
         copy = AvlpProblem(A=example4.A, b=example4.b, c=example4.c, D=example4.D)
+        other = verify_b_stability(example4, (2, 3))
         cases = [
-            (scaled, (0, 1), own),
-            (copy, (0, 1), own),
-            (example4, (0, 1), verify_b_stability(example4, (2, 3))),
+            (scaled, basis, own),
+            (copy, basis, own),
+            (example4, (0, 1), other),
             (example4, Basis((0, 1)), verify_b_stability(example4, Basis((2, 3)))),
             # equal rows in another tuple or Basis, or in a list, which
             # could have changed since
             (example4, tuple([0, 1]), own),
             (example4, Basis((0, 1)), verify_b_stability(example4, Basis((0, 1)))),
             (example4, [0, 1], verify_b_stability(example4, [0, 1])),
+            # the right objects, with an edited status or enclosure
+            (example4, basis, replace(own, status=CertificateStatus.VERIFIED)),
+            (example4, basis, replace(own, primal_enclosure=other.primal_enclosure)),
         ]
         for problem, basis, cert in cases:
             derivations.update(_basis_rows=0, relaxed_interval_lp=0)
             answers = _answers(problem, basis, cert)
-            assert derivations == {"_basis_rows": 2, "relaxed_interval_lp": 1}
+            assert derivations == {"_basis_rows": 2, "relaxed_interval_lp": 2}
             assert answers == _answers(problem, basis, replace(cert, _block=None))
         assert _answers(scaled, (0, 1), own) != _answers(example4, (0, 1), own)
 
@@ -261,20 +274,53 @@ class TestStableValues:
         assert out.status is Status.OPTIMAL
         assert out.value == pytest.approx(value, abs=1e-9)
 
-    def test_missing_certificate_warns(self, example4):
-        with pytest.warns(UserWarning, match="no stability certificate"):
-            best_case_bstable(example4, Basis((0, 1)))
+    def test_missing_certificate_is_derived(self, example4):
+        cert = verify_b_stability(example4, Basis((0, 1)))
+        assert _answers(example4, Basis((0, 1)), None) == _answers(example4, Basis((0, 1)), cert)
 
     def test_verified_certificate_does_not_warn(self, example4):
+        # the suite turns every warning into an error
         cert = verify_b_stability(example4, Basis((0, 1)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            best_case_bstable(example4, Basis((0, 1)), certificate=cert)
+        best_case_bstable(example4, Basis((0, 1)), certificate=cert)
+        worst_case_bstable(example4, Basis((0, 1)), certificate=cert)
 
-    def test_merely_verified_certificate_warns_for_worst(self, example4):
-        weak = StabilityCertificate(status=CertificateStatus.VERIFIED)
-        with pytest.warns(UserWarning, match="nondegenerate"):
-            worst_case_bstable(example4, Basis((0, 1)), certificate=weak)
+    def test_merely_verified_certificate_is_refused_for_worst(self):
+        # a multiplier of 1e-8 is verified nonnegative but not
+        # nondegenerate: enough for the best case, not for the worst
+        problem = AvlpProblem(
+            A=IntervalMatrix.from_point([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            b=IntervalVector.from_point([1.0, 1.0, 3.0]),
+            c=IntervalVector.from_point([1.0, 1e-8]),
+            D=IntervalMatrix.from_point(np.zeros((3, 2))),
+        )
+        basis = Basis((0, 1))
+        cert = verify_b_stability(problem, basis)
+        assert cert.status is CertificateStatus.VERIFIED
+        assert best_case_bstable(problem, basis, certificate=cert) == pytest.approx(1.0 + 1e-8)
+        claimed = StabilityCertificate(status=CertificateStatus.VERIFIED_NONDEGENERATE)
+        for given in (cert, None, claimed):
+            with pytest.raises(
+                NumericalError,
+                match="^stability certificate is verified; the basis-stable worst case "
+                "needs verified_nondegenerate$",
+            ):
+                worst_case_bstable(problem, basis, certificate=given)
+
+    def test_hand_built_certificate_is_never_trusted(self, example4):
+        # a certificate that claims a status is not one: basis (0, 1)
+        # gets its real certificate's answers, and basis (0, 2), whose
+        # real certificate is unknown, gets no value at all
+        claimed = StabilityCertificate(status=CertificateStatus.VERIFIED_NONDEGENERATE)
+        real = verify_b_stability(example4, (0, 1))
+        assert _answers(example4, (0, 1), claimed) == _answers(example4, (0, 1), real)
+        unknown = verify_b_stability(example4, (0, 2))
+        assert unknown.status is CertificateStatus.UNKNOWN
+        for given in (claimed, replace(unknown, status=CertificateStatus.VERIFIED_NONDEGENERATE)):
+            with pytest.raises(NumericalError, match="^stability certificate is unknown "
+                               r"\(nonbasic row 2 not verifiably satisfied"):
+                best_case_bstable(example4, (0, 2), certificate=given)
+            with pytest.raises(NumericalError, match="^stability certificate is unknown "):
+                worst_case_bstable(example4, (0, 2), certificate=given)
 
     def test_characterizations_coincide(self, example4):
         for value in bstable_characterizations(example4, (0, 1)):
@@ -312,8 +358,9 @@ def flip_columns(problem: AvlpProblem, signs) -> AvlpProblem:
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """Counts of the general solvers that the pinned paths replace."""
-    return _count_calls(monkeypatch, ("solve_lp", "solve_gave"))
+    """Counts of the simplex method, which the pinned best case
+    replaces, and of the square solves of the worst case."""
+    return _count_calls(monkeypatch, ("solve_lp", "solve_square"))
 
 
 def _stable_instances():
@@ -331,12 +378,53 @@ def _stable_instances():
     return out
 
 
-def _fallback_answers(problem, rows):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        best = best_case_bstable(problem, Basis(rows))
-        worst = worst_case_bstable(problem, Basis(rows))
-    return best, worst
+def _straddling_instances(count, seed=75):
+    """Seeded random stable problems whose verified nondegenerate
+    certificate has a primal enclosure that touches zero, at radii
+    from 1e-3 to 0.2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        scale = float(rng.choice([1e-3, 1e-2, 0.05, 0.2]))
+        problem, rows = random_stable_problem(rng, scale=scale, near_zero=True)
+        cert = verify_b_stability(problem, rows)
+        box = cert.primal_enclosure
+        if cert.status is CertificateStatus.VERIFIED_NONDEGENERATE and np.any(
+            (box.inf <= 0.0) & (box.sup >= 0.0)
+        ):
+            out.append((problem, rows, cert))
+    return out
+
+
+def _best_program(problem, rows):
+    """The best-case LP in the multipliers, built from the docstring of
+    ``best_case_bstable``."""
+    basic = relaxed_interval_lp(problem)[0].take_rows(list(rows))
+    n = problem.n
+    return LpProblem(
+        c=problem.b.sup[list(rows)],
+        G=np.vstack([basic.inf.T, -basic.sup.T, -np.eye(n)]),
+        g=np.concatenate([problem.c.sup, -problem.c.inf, np.zeros(n)]),
+    )
+
+
+def _sign_solve(problem, rows, x):
+    """The linear solve of the worst-case system at the sign of ``x``."""
+    M, F, g = worst_system(problem, rows)
+    return solve_square(M + F * np.where(x >= 0.0, 1.0, -1.0)[None, :], g)
+
+
+def _check_worst(problem, rows, value, x_star, witness):
+    """``x*`` is the one solution of the worst-case system, the value is
+    the worst-case lower bound, and the witness attains it."""
+    M, F, g = worst_system(problem, rows)
+    (expected,) = gave_solutions(M, F, g)
+    assert np.abs(x_star - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
+    assert np.abs(M @ x_star + F @ np.abs(x_star) - g).max() <= 1e-8 * (1.0 + np.abs(g).max())
+    assert value == pytest.approx(worst_lower_bound(problem), rel=1e-9, abs=1e-9)
+    out = witness.solve()
+    assert out.status is Status.OPTIMAL
+    assert out.value == pytest.approx(value, rel=1e-7, abs=1e-7)
 
 
 class TestPinnedEndpoints:
@@ -349,53 +437,63 @@ class TestPinnedEndpoints:
             mixed += bool(np.any(box.sup < 0.0)) and bool(np.any(box.inf > 0.0))
             best = best_case_bstable(problem, Basis(rows), certificate=cert)
             value, x_star, witness = worst_case_bstable(problem, Basis(rows), certificate=cert)
-            assert fallback_calls == {"solve_lp": 0, "solve_gave": 0}
+            assert fallback_calls == {"solve_lp": 0, "solve_square": 1}
+            fallback_calls.update(solve_square=0)
 
-            ref_best, (ref_value, ref_x, ref_witness) = _fallback_answers(problem, rows)
-            assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
-            fallback_calls.update(solve_lp=0, solve_gave=0)
-            assert best == pytest.approx(ref_best, rel=1e-12, abs=0.0)
-            assert x_star.tobytes() == ref_x.tobytes()
-            assert value == ref_value
-            assert witness == ref_witness
+            reference = solve_lp(_best_program(problem, rows))
+            assert reference.status is Status.OPTIMAL
+            assert best == pytest.approx(reference.value, rel=1e-12, abs=0.0)
+            _check_worst(problem, rows, value, x_star, witness)
         assert mixed >= 4
 
     def test_zero_straddling_enclosure_falls_back(self, fallback_calls):
-        for problem, rows, cert in _stable_instances()[:4]:
-            box = cert.primal_enclosure
-            low = box.inf.copy()
-            low[0] = -abs(box.sup[0])
-            straddling = replace(cert, primal_enclosure=IntervalVector(low, box.sup))
-            best = best_case_bstable(problem, Basis(rows), certificate=straddling)
-            value, x_star, _ = worst_case_bstable(problem, Basis(rows), certificate=straddling)
-            assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
-            ref_best, (ref_value, ref_x, _) = _fallback_answers(problem, rows)
-            fallback_calls.update(solve_lp=0, solve_gave=0)
-            assert best == ref_best
-            assert value == ref_value
-            assert x_star.tobytes() == ref_x.tobytes()
+        # the best case's basis cannot be read off the enclosure, so the
+        # simplex method runs; the worst case starts at +1 where the
+        # enclosure touches zero, which is wrong for these instances,
+        # and one contraction step finds the sign of x*
+        for problem, rows, cert in _straddling_instances(8):
+            fallback_calls.update(solve_lp=0, solve_square=0)
+            best = best_case_bstable(problem, rows, certificate=cert)
+            value, x_star, _ = worst_case_bstable(problem, rows, certificate=cert)
+            assert fallback_calls == {"solve_lp": 1, "solve_square": 2}
+            assert best == solve_lp(_best_program(problem, rows)).value
+            assert x_star.tobytes() == _sign_solve(problem, rows, x_star).tobytes()
 
-    def test_example4_basis_with_a_straddling_enclosure_falls_back(self, example4, fallback_calls):
+    def test_straddling_instances_agree_with_the_oracles(self):
+        for problem, rows, cert in _straddling_instances(40, seed=76):
+            value, x_star, witness = worst_case_bstable(problem, rows, certificate=cert)
+            _check_worst(problem, rows, value, x_star, witness)
+
+    def test_contraction_steps_are_capped(self, monkeypatch):
+        # one sign, the wrong one: the step limit ends the search with
+        # the typed error, never with an unchecked value
+        problem, rows, cert = _straddling_instances(1)[0]
+        monkeypatch.setattr(stability, "CONTRACTION_STEPS", 1)
+        with pytest.raises(NumericalError, match=r"after 1 signs.*\(ratio 0\.\d+\)"):
+            worst_case_bstable(problem, rows, certificate=cert)
+
+    def test_example4_basis_with_an_unknown_certificate_is_refused(self, example4, fallback_calls):
+        # basis (0, 2)'s enclosure touches zero, and a nonbasic row is
+        # not verifiably satisfied: neither value may be computed
         cert = verify_b_stability(example4, Basis((0, 2)))
         assert np.any((cert.primal_enclosure.inf < 0.0) & (cert.primal_enclosure.sup > 0.0))
-        with pytest.warns(UserWarning, match="certificate status is 'unknown'"):
-            best = best_case_bstable(example4, Basis((0, 2)), certificate=cert)
-        assert fallback_calls["solve_lp"] == 1
-        assert best == _fallback_answers(example4, (0, 2))[0]
+        with pytest.raises(NumericalError, match="certificate is unknown"):
+            best_case_bstable(example4, Basis((0, 2)), certificate=cert)
+        with pytest.raises(NumericalError, match="certificate is unknown"):
+            worst_case_bstable(example4, Basis((0, 2)), certificate=cert)
+        assert fallback_calls == {"solve_lp": 0, "solve_square": 0}
 
     def test_certificate_of_another_basis_fails_the_check(self, example4, fallback_calls):
         # the enclosure of basis (2, 3) is negative, the solutions of
-        # basis (0, 1) are positive: the pinned basis is not optimal
+        # basis (0, 1) are positive; the certificate is not basis
+        # (0, 1)'s, so (0, 1)'s own is derived and pins both values
         other = verify_b_stability(example4, Basis((2, 3)))
         assert np.all(other.primal_enclosure.sup < 0.0)
-        with pytest.warns(UserWarning):
-            best = best_case_bstable(example4, Basis((0, 1)), certificate=other)
-            value, x_star, _ = worst_case_bstable(example4, Basis((0, 1)), certificate=other)
-        assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
-        ref_best, (ref_value, ref_x, _) = _fallback_answers(example4, (0, 1))
-        assert best == ref_best
-        assert value == ref_value == pytest.approx(WORST_EX4, abs=1e-9)
-        assert x_star.tobytes() == ref_x.tobytes()
+        answers = _answers(example4, Basis((0, 1)), other)
+        assert fallback_calls == {"solve_lp": 0, "solve_square": 1}
+        own = Basis((0, 1))
+        assert answers == _answers(example4, own, verify_b_stability(example4, own))
+        assert float.fromhex(answers[1]) == pytest.approx(WORST_EX4, abs=1e-9)
 
     def test_another_basis_on_random_instances(self, fallback_calls):
         checked = 0
@@ -406,94 +504,129 @@ class TestPinnedEndpoints:
                 continue
             if np.array_equal(np.sign(box.inf), np.sign(cert.primal_enclosure.inf)):
                 continue
-            with pytest.warns(UserWarning):
-                best = best_case_bstable(problem, Basis(rows), certificate=foreign)
-                value, x_star, _ = worst_case_bstable(problem, Basis(rows), certificate=foreign)
-            assert fallback_calls == {"solve_lp": 1, "solve_gave": 1}
-            ref_best, (ref_value, ref_x, _) = _fallback_answers(problem, rows)
-            fallback_calls.update(solve_lp=0, solve_gave=0)
-            assert best == ref_best
-            assert value == ref_value
-            assert x_star.tobytes() == ref_x.tobytes()
+            fallback_calls.update(solve_lp=0, solve_square=0)
+            answers = _answers(problem, Basis(rows), foreign)
+            assert fallback_calls == {"solve_lp": 0, "solve_square": 1}
+            basis = Basis(rows)
+            assert answers == _answers(problem, basis, verify_b_stability(problem, basis))
             checked += 1
         assert checked >= 2
 
 
+def _worst_of(M, F, g, y=None):
+    """Worst-case value, ``x*`` and the problem, through
+    ``worst_case_bstable`` on the one-row-per-variable problem whose
+    worst-case system is ``M x + F |x| = g``."""
+    problem = gave_problem(M, F, g, np.ones(len(g)) if y is None else y)
+    value, x_star, _ = worst_case_bstable(problem, tuple(range(len(g))))
+    return value, x_star, problem
+
+
 class TestGave:
     def test_scalar_expansion(self):
-        x = solve_gave(GaveSystem(M=[[1.0]], F=[[0.5]], g=[3.0]))
+        _, x, _ = _worst_of([[1.0]], [[0.5]], [3.0])
         assert np.allclose(x, [2.0], atol=1e-12)
 
     def test_scalar_contraction(self):
-        x = solve_gave(GaveSystem(M=[[1.0]], F=[[-0.5]], g=[1.0]))
+        _, x, _ = _worst_of([[1.0]], [[-0.5]], [1.0])
         assert np.allclose(x, [2.0], atol=1e-12)
 
     def test_negative_branch(self):
         # x + 0.5|x| = -3 forces x < 0
-        x = solve_gave(GaveSystem(M=[[1.0]], F=[[0.5]], g=[-3.0]))
+        value, x, _ = _worst_of([[1.0]], [[0.5]], [-3.0])
         assert np.allclose(x, [-6.0], atol=1e-12)
+        assert value == pytest.approx(-6.0, abs=1e-12)
 
-    def test_ambiguous_system_warns_and_picks_sign_consistent_solution(self):
-        with pytest.warns(UserWarning, match="uniqueness"):
-            x = solve_gave(GaveSystem(M=np.eye(2), F=2.0 * np.eye(2), g=[3.0, 3.0]))
-        assert np.allclose(x, [1.0, 1.0], atol=1e-12)
-
-    def test_unverified_system_with_one_solution_warns_and_returns_it(self):
-        # x - D_B |x| = (-1, -1) with D_B all ones: the envelope holds
-        # the zero matrix, yet x = (-1/3, -1/3) solves the system
-        with pytest.warns(UserWarning, match="not verified"):
-            x = solve_gave(GaveSystem(M=np.eye(2), F=-np.ones((2, 2)), g=[-1.0, -1.0]))
-        assert x == pytest.approx([-1 / 3, -1 / 3], abs=1e-12)
-
-    def test_unverified_system_without_solution_warns_then_fails(self, example1):
-        # example 1's midpoint basic system at basis (0, 1)
-        rows = [0, 1]
-        system = GaveSystem(
-            M=example1.A.mid[rows], F=-example1.D.mid[rows], g=example1.b.mid[rows]
-        )
-        with pytest.warns(UserWarning, match="uniqueness"):
-            with pytest.raises(NumericalError, match="^no sign-consistent solution"):
-                solve_gave(system)
+    def test_systems_without_a_certificate_are_refused(self, example1):
+        # x + 2|x| = (3, 3) has more than one solution, and
+        # x - D_B |x| = (-1, -1) with D_B all ones has one, yet the
+        # envelope of either holds singular matrices; example 1's
+        # basic system at basis (0, 1) has none.  No certificate
+        # verifies, so no value is returned.
+        cases = [
+            (gave_problem(np.eye(2), 2.0 * np.eye(2), [3.0, 3.0], [1.0, 1.0]), (0, 1)),
+            (gave_problem(np.eye(2), -np.ones((2, 2)), [-1.0, -1.0], [1.0, 1.0]), (0, 1)),
+            (example1, (0, 1)),
+        ]
+        for problem, rows in cases:
+            assert verify_b_stability(problem, rows).status is CertificateStatus.UNKNOWN
+            with pytest.raises(NumericalError, match="^stability certificate is unknown"):
+                worst_case_bstable(problem, rows)
 
     def test_envelope_verified_by_rex_rohn_alone(self):
         # Beeck's test declines the envelope [M - 1.2 I, M + 1.2 I] and
-        # the singular-value test proves it regular
+        # the singular-value test proves it regular, so the system has
+        # one solution; the certificate's gate does not contract, so
+        # the worst case is still refused
         M = np.array([[1.0, 1.0], [-1.0, 1.0]])
         F = 1.2 * np.eye(2)
-        g = np.array([1.0, 2.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x = solve_gave(GaveSystem(M=M, F=F, g=g))
-        assert np.max(np.abs(M @ x + F @ np.abs(x) - g)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
-        assert x == pytest.approx([0.0342, 0.9247], abs=1e-4)
+        envelope = IntervalMatrix(M - F, M + F)
+        assert not beeck_regular(envelope).verified
+        assert rex_rohn_regular(envelope).verified
+        with pytest.raises(NumericalError, match="does not contract"):
+            _worst_of(M, F, [1.0, 2.0])
 
     def test_residual_contract(self):
         rng = np.random.default_rng(71)
-        for _ in range(30):
+        seen = 0
+        while seen < 30:
             M, F, g = random_gave(rng)
-            x = solve_gave(GaveSystem(M=M, F=F, g=g))
+            problem = gave_problem(M, F, g, rng.uniform(0.5, 2.0, len(g)))
+            rows = tuple(range(len(g)))
+            cert = verify_b_stability(problem, rows)
+            if cert.status is not CertificateStatus.VERIFIED_NONDEGENERATE:
+                continue
+            seen += 1
+            _, x, _ = worst_case_bstable(problem, rows, certificate=cert)
+            M, F, g = worst_system(problem, rows)
             residual = np.max(np.abs(M @ x + F @ np.abs(x) - g))
             assert residual <= 1e-8 * (1.0 + np.max(np.abs(g)))
 
     def test_agrees_with_exhaustive_enumeration(self):
         rng = np.random.default_rng(72)
-        for _ in range(60):
+        seen = 0
+        while seen < 60:
             M, F, g = random_gave(rng)
-            sols = gave_solutions(M, F, g)
+            problem = gave_problem(M, F, g, rng.uniform(0.5, 2.0, len(g)))
+            rows = tuple(range(len(g)))
+            cert = verify_b_stability(problem, rows)
+            if cert.status is not CertificateStatus.VERIFIED_NONDEGENERATE:
+                continue
+            seen += 1
+            sols = gave_solutions(*worst_system(problem, rows))
             assert len(sols) == 1
-            x = solve_gave(GaveSystem(M=M, F=F, g=g))
+            _, x, _ = worst_case_bstable(problem, rows, certificate=cert)
             assert np.allclose(x, sols[0], atol=1e-7)
 
-    def test_size_cap_when_enumeration_is_needed(self):
-        n = 17
-        system = GaveSystem(M=np.zeros((n, n)), F=np.eye(n), g=np.ones(n))
-        with pytest.warns(UserWarning):
-            with pytest.raises(SizeCapError):
-                solve_gave(system)
+    def test_no_size_cap_at_twenty_variables(self, fallback_calls):
+        # 2**20 sign patterns, far past the orthant cap, and a wrong
+        # first sign where the enclosure touches zero: the worst case
+        # still takes a few square solves
+        rng = np.random.default_rng(77)
+        n = 20
+        M = 3.0 * np.eye(n) + rng.uniform(-0.1, 0.1, (n, n))
+        F = rng.uniform(0.0, 0.02, (n, n))
+        target = rng.uniform(0.5, 2.0, n)
+        target[0] = -1e-4
+        g = M @ target + F @ np.abs(target)
+        problem = gave_problem(M, F, g, rng.uniform(0.5, 2.0, n))
+        rows = tuple(range(n))
+        cert = verify_b_stability(problem, rows)
+        assert cert.status is CertificateStatus.VERIFIED_NONDEGENERATE
+        assert cert.primal_enclosure.inf[0] < 0.0 < cert.primal_enclosure.sup[0]
+        value, x, witness = worst_case_bstable(problem, rows, certificate=cert)
+        assert 1 < fallback_calls["solve_square"] <= 5
+        assert x == pytest.approx(target, abs=1e-9)
+        M, F, g = worst_system(problem, rows)
+        assert np.max(np.abs(M @ x + F @ np.abs(x) - g)) <= 1e-8 * (1.0 + np.max(np.abs(g)))
+        # D is zero, so the witness is one LP, though the cap counts
+        # every variable
+        assert witness.solve(orthant_cap=n).value == pytest.approx(value, rel=1e-9)
 
-    def test_nonsquare_rejected(self):
-        with pytest.raises(InputError):
-            GaveSystem(M=np.ones((2, 3)), F=np.ones((2, 3)), g=np.ones(2))
+    def test_nonsquare_rejected(self, example4):
+        # a basis must select one row per variable
+        with pytest.raises(InputError, match="basis must select 2 rows"):
+            worst_case_bstable(example4, (0, 1, 2))
 
 
 def test_stable_worst_matches_global_lower_bound():
