@@ -537,21 +537,29 @@ class TestGave:
         assert np.allclose(x, [-6.0], atol=1e-12)
         assert value == pytest.approx(-6.0, abs=1e-12)
 
-    def test_systems_without_a_certificate_are_refused(self, example1):
-        # x + 2|x| = (3, 3) has more than one solution, and
-        # x - D_B |x| = (-1, -1) with D_B all ones has one, yet the
-        # envelope of either holds singular matrices; example 1's
-        # basic system at basis (0, 1) has none.  No certificate
-        # verifies, so no value is returned.
-        cases = [
-            (gave_problem(np.eye(2), 2.0 * np.eye(2), [3.0, 3.0], [1.0, 1.0]), (0, 1)),
-            (gave_problem(np.eye(2), -np.ones((2, 2)), [-1.0, -1.0], [1.0, 1.0]), (0, 1)),
-            (example1, (0, 1)),
-        ]
-        for problem, rows in cases:
-            assert verify_b_stability(problem, rows).status is CertificateStatus.UNKNOWN
-            with pytest.raises(NumericalError, match="^stability certificate is unknown"):
-                worst_case_bstable(problem, rows)
+    @staticmethod
+    def _assert_refused(problem, rows):
+        # no certificate verifies, so no value is returned
+        assert verify_b_stability(problem, rows).status is CertificateStatus.UNKNOWN
+        with pytest.raises(NumericalError, match="^stability certificate is unknown"):
+            worst_case_bstable(problem, rows)
+
+    def test_ambiguous_system_is_refused(self):
+        # x + 2|x| = (3, 3) has more than one solution
+        self._assert_refused(
+            gave_problem(np.eye(2), 2.0 * np.eye(2), [3.0, 3.0], [1.0, 1.0]), (0, 1)
+        )
+
+    def test_unverified_system_with_one_solution_is_refused(self):
+        # x - D_B |x| = (-1, -1) with D_B all ones has one solution,
+        # x = (-1/3, -1/3), yet its envelope holds the zero matrix
+        self._assert_refused(
+            gave_problem(np.eye(2), -np.ones((2, 2)), [-1.0, -1.0], [1.0, 1.0]), (0, 1)
+        )
+
+    def test_unverified_system_without_solution_is_refused(self, example1):
+        # example 1's basic system at basis (0, 1) has no solution
+        self._assert_refused(example1, (0, 1))
 
     def test_envelope_verified_by_rex_rohn_alone(self):
         # Beeck's test declines the envelope [M - 1.2 I, M + 1.2 I] and
