@@ -44,6 +44,20 @@ across chunks) by more than the tie window ``tol * (1 + |best|)``, the
 LP is dropped: that orthant can neither win nor tie, so the winner and
 the ties stay those of the full sweep, bit for bit.
 
+Large sweeps screen before they pivot.  When a program has ``2**8`` or
+more orthants and a proved bound ``|x| <= U`` (``_abs_bound``), the
+sweep first solves a spread of orthants.  The row multipliers
+``y >= 0`` of those LPs bound every orthant's optimum by
+``g @ y + max (c_s - G_s.T y) @ x`` over the orthant within the box
+(Neumaier and Shcherbina, "Safe bounds in linear and mixed-integer
+linear programming", Math. Program. 99, 2004).  Orthants whose bound
+lies below the best optimum by more than the tie window are dropped
+before their phase one, by the pruning rule above, so the outcome is
+unchanged bit for bit.  The best case of interval LPs with free
+variables is NP-hard, so this is a screen, not a shortcut.  Below
+``2**8`` orthants a second lockstep pass costs more than it saves, and
+the sweep is one pass.
+
 The enumeration is exact but exponential, so problems are refused
 beyond a configurable cap (default 16) on the number of variables; the
 cap counts all ``n`` variables, not only the enumerated ones.
@@ -56,7 +70,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, SizeCapError
-from .intervals import DEFAULT_TOL, SignVector, _check_tolerances, sign_of
+from .intervals import DEFAULT_TOL, REGULARITY_MARGIN, SignVector, _check_tolerances, sign_of
+from .linalg import _contraction_ratio
 from .simplex import Status, _solve_inequality, _solve_inequality_batch
 
 DEFAULT_ORTHANT_CAP = 16
@@ -66,6 +81,11 @@ DEFAULT_ORTHANT_CAP = 16
 #: of tableaux, one scratch buffer of the same size and, once some
 #: tableaux finish, a compacted copy of those still pivoting.
 _CHUNK_BYTES = 1 << 20
+
+#: Sweeps of at least this many orthants are screened when the
+#: program's ``|x|`` is bounded.  Below it a second lockstep pass costs
+#: more in numpy's per-step overhead than the orthants it drops save.
+_SCREEN_ORTHANTS = 2**8
 
 
 @dataclass(frozen=True)
@@ -192,6 +212,96 @@ def _lp_data(
     return lhs, rhs, cost
 
 
+def _abs_bound(G: np.ndarray, H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """A vector ``U`` with ``|x| <= U`` for every ``x`` that satisfies
+    ``G x + H |x| <= g``, or None when none is proved.
+
+    For a column ``j`` and a sign ``sigma``, a row ``i`` with
+    ``d = sigma * G[i, j] + H[i, j] > 0`` bounds ``|x_j|`` on the half
+    ``sigma * x_j >= 0``: there ``G[i, j] x_j + H[i, j] |x_j| = d |x_j|``
+    and every other column adds at most ``W[i, l] |x_l|``, with
+    ``W = max(|G| - H, 0)``.  Of those rows the one with the least
+    off-column mass ``sum_{l != j} W[i, l] / d`` is taken, and the
+    larger of the two signs' bounds kept, which gives
+    ``|x| <= beta + N |x|`` with ``N >= 0`` and a zero diagonal.  When
+    ``linalg._contraction_ratio`` proves ``rho(N) <= 1 -
+    REGULARITY_MARGIN``, ``(I - N)^-1`` is nonnegative, so any ``U``
+    with ``(I - N) U >= beta`` bounds ``|x|``.  ``U`` is one solve,
+    lifted along the gate's vector ``v`` until that holds as computed:
+    ``(I - N) v >= (1 - ratio) v`` and ``v >= 1``.  None when a column
+    lacks a bounding row for a sign, the gate fails or ``U`` is not
+    finite.
+    """
+    n = G.shape[1]
+    W = np.maximum(np.abs(G) - H, 0.0)
+    off = W.sum(axis=1)[:, None] - W
+    at = np.arange(n)
+    beta = np.full(n, -np.inf)
+    N = np.zeros((n, n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sigma in (1.0, -1.0):
+            d = sigma * G + H
+            mass = np.where(d > 0.0, off / d, np.inf)
+            rows = mass.argmin(axis=0)
+            if not (d[rows, at] > 0.0).all():
+                return None
+            scale = 1.0 / d[rows, at]
+            beta = np.maximum(beta, g[rows] * scale)
+            N = np.maximum(N, W[rows] * scale[:, None])
+        N[at, at] = 0.0
+        ratio, v = _contraction_ratio(N)
+        if not ratio <= 1.0 - REGULARITY_MARGIN:
+            return None
+        I_N = np.eye(n) - N
+        U = np.linalg.solve(I_N, beta)
+        for _ in range(3):
+            if not np.isfinite(U).all():
+                return None
+            short = (beta - I_N @ U).max()
+            if short <= 0.0:
+                return np.maximum(U, 0.0)
+            U = U + short / (1.0 - ratio) * v
+    return None
+
+
+def _orthant_bounds(
+    program: GenAvlpProgram, enum: np.ndarray, U: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Per orthant, in lexicographic order, an upper bound on its
+    optimum from the row multipliers ``y >= 0`` (one vector per row),
+    the least over the vectors.
+
+    For any feasible ``x``, ``p @ x + q @ |x| <= g @ y + a @ x + h @ |x|``
+    with ``a = p - G.T y`` and ``h = q - H.T y``, and the right side
+    separates by column over the box ``|x| <= U``: an enumerated column
+    of sign ``s`` adds ``U_j max(0, s a_j + h_j)``, any other column
+    ``U_j max(0, |a_j| + h_j)``.  The enumerated columns' terms are
+    summed over all orthants by one doubling per column, in blocks of
+    orthants whose working set stays within ``_CHUNK_BYTES``.
+    """
+    a = program.linear_cost - y @ program.linear_lhs
+    h = program.abs_cost - y @ program.abs_lhs
+    other = np.ones(program.n, dtype=bool)
+    other[enum] = False
+    base = y @ program.rhs + np.maximum(np.abs(a[:, other]) + h[:, other], 0.0) @ U[other]
+    # column t's term at bit 0 (s_t = -1) and at bit 1 (s_t = +1)
+    a, h, Ue = a[:, enum], h[:, enum], U[enum]
+    terms = np.stack([np.maximum(h - a, 0.0) * Ue, np.maximum(h + a, 0.0) * Ue], axis=2)
+    k, count = enum.size, len(y)
+    # the last ``low`` columns' sums over their 2**low orthants, per
+    # vector, as one block; the first columns' sum is added per block
+    low = min(k, max(0, (_CHUNK_BYTES // (8 * count)).bit_length() - 1))
+    tail = np.zeros((count, 1))
+    for t in range(k - low, k):
+        tail = (tail[:, :, None] + terms[:, t, None, :]).reshape(count, -1)
+    high = np.arange(k - low)
+    bounds = np.empty(2**k)
+    for i in range(2 ** (k - low)):
+        head = base + terms[:, high, (i >> (k - low - 1 - high)) & 1].sum(axis=1)
+        bounds[i << low : (i + 1) << low] = (head[:, None] + tail).min(axis=0)
+    return bounds
+
+
 def solve_gen_avlp(
     program: GenAvlpProgram,
     tol: float = DEFAULT_TOL,
@@ -217,6 +327,16 @@ def solve_gen_avlp(
     the window (up to rounding: the bound is read off the tableau, the
     optimum recomputed as ``cost @ x``); so the outcome, ties
     included, is the one the full sweep gives.
+
+    A sweep of at least ``_SCREEN_ORTHANTS`` orthants over a program
+    whose ``|x|`` ``_abs_bound`` bounds first solves ``F =
+    2**(ceil(k/2) + 1)`` orthants, every ``(2**k // F + 1)``-th modulo
+    ``2**k``.  Every other orthant whose bound from their multipliers
+    (``_orthant_bounds``) lies below the best optimum so far by more
+    than the same window reads ``-inf`` unsolved; the bound is at least
+    the orthant's optimum, so it can neither win nor tie.  The rest
+    are swept in lexicographic chunks with the incumbent carried, and
+    pivoted exactly as without the screen.
 
     Raises ``SizeCapError`` when the variable count exceeds
     ``orthant_cap`` and ``InputError`` unless ``0 < tol <= 1e-3``.
@@ -269,31 +389,61 @@ def solve_gen_avlp(
     # enumerated column t of G + H diag(s), as a row: G - H where
     # s_t = -1 (bit 0) and G + H where s_t = +1 (bit 1), bit for bit
     choices = np.stack([(G - H)[:, enum].T, (G + H)[:, enum].T])
-    for start in range(0, 2**k, chunk):
-        stop = min(start + chunk, 2**k)
-        bits = (np.arange(start, stop)[:, None] >> shifts) & 1
-        signs = np.where(bits, 1.0, -1.0)
-        # built as (orthant, column, row), the layout the dual
-        # tableaux read, and passed as its (orthant, row, column) view
-        lhs_stack = np.broadcast_to(lhs.T, (stop - start, cols, rows)).copy()
-        lhs_stack[:, enum, :m] = choices[bits, np.arange(k)]
-        lhs_stack[:, enum, m + np.arange(k)] = -signs
-        lhs_stack = lhs_stack.transpose(0, 2, 1)
-        cost_stack = np.broadcast_to(cost, (stop - start, cols)).copy()
-        cost_stack[:, enum] = p[enum] + q[enum] * signs
-        value, x = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
-        values[start:stop] = value
-        points[start:stop] = x[:, :n]
-        for i in np.flatnonzero(np.isnan(value)):
-            # a rare branch of the scalar kernel
-            core = _solve_inequality(lhs_stack[i], rhs, cost_stack[i], tol)
-            values[start + i] = core.value
-            if core.x is not None:
-                points[start + i] = core.x[:n]
-            if core.ray is not None:
-                rays[start + i] = core.ray[:n]
-        done = values[start:stop]
-        incumbent = max(incumbent, done[np.isfinite(done)].max(initial=-np.inf))
+
+    def sweep(order: np.ndarray, multipliers: bool = False) -> list[np.ndarray]:
+        """Solve the orthants ``order`` in chunks, carrying the
+        incumbent; with ``multipliers``, return each chunk's ``y``."""
+        nonlocal incumbent
+        ys = []
+        for start in range(0, order.size, chunk):
+            idx = order[start : start + chunk]
+            bits = (idx[:, None] >> shifts) & 1
+            signs = np.where(bits, 1.0, -1.0)
+            # built as (orthant, column, row), the layout the dual
+            # tableaux read, and passed as its (orthant, row, column) view
+            lhs_stack = np.broadcast_to(lhs.T, (idx.size, cols, rows)).copy()
+            lhs_stack[:, enum, :m] = choices[bits, np.arange(k)]
+            lhs_stack[:, enum, m + np.arange(k)] = -signs
+            lhs_stack = lhs_stack.transpose(0, 2, 1)
+            cost_stack = np.broadcast_to(cost, (idx.size, cols)).copy()
+            cost_stack[:, enum] = p[enum] + q[enum] * signs
+            value, x, *y = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent,
+                                                   multipliers)
+            ys += y
+            for i in np.flatnonzero(np.isnan(value)):
+                # a rare branch of the scalar kernel
+                core = _solve_inequality(lhs_stack[i], rhs, cost_stack[i], tol)
+                value[i] = core.value
+                if core.x is not None:
+                    x[i] = core.x
+                if core.ray is not None:
+                    rays[idx[i]] = core.ray[:n]
+            values[idx] = value
+            points[idx] = x[:, :n]
+            incumbent = max(incumbent, value[np.isfinite(value)].max(initial=-np.inf))
+        return ys
+
+    order = np.arange(2**k)
+    if 2**k >= _SCREEN_ORTHANTS and (U := _abs_bound(G, H, program.rhs)) is not None:
+        # screen: solve a spread of orthants, then bound every other
+        # one from their multipliers and drop those that can neither
+        # win nor tie, as the kernel's pruning does
+        spread = 2 ** ((k + 1) // 2 + 1)
+        first = np.arange(spread) * (2**k // spread + 1) % 2**k
+        y = np.concatenate(sweep(first, True))[:, :m]
+        y = np.maximum(y[~np.isnan(y).any(axis=1)], 0.0)
+        rest = np.ones(2**k, dtype=bool)
+        rest[first] = False
+        # a bounded |x| leaves no orthant unbounded; should the kernel
+        # find one anyway, the first unbounded orthant must still win,
+        # so nothing is dropped
+        if y.size and np.isfinite(incumbent) and not (values[first] == np.inf).any():
+            cut = incumbent - tol * (1.0 + abs(incumbent))
+            dropped = rest & (_orthant_bounds(program, enum, U, y) < cut)
+            values[dropped] = -np.inf
+            rest &= ~dropped
+        order = np.flatnonzero(rest)
+    sweep(order)
 
     best = int(np.argmax(values))
     value = float(values[best])

@@ -24,7 +24,8 @@ in place, with one scratch buffer for the pivots' rank-one updates.
 It settles the common cases (optimal, and infeasible as read from
 phase two) and hands the rare ones back to the scalar kernel.  On
 request it prunes, in phase two, the LPs whose optimum provably falls
-below the best optimum found so far.
+below the best optimum found so far, and returns each LP's row
+multipliers, from which ``avlp`` bounds the orthants it has not solved.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NumericalError, SingularMatrixError
+from .errors import DimensionError, InputError, NumericalError
 from .intervals import DEFAULT_TOL, _check_tolerances
 from .linalg import _checked_inverse
 
@@ -433,10 +434,12 @@ def _solve_inequality_batch(
     c_stack: np.ndarray,
     tol: float,
     incumbent: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    multipliers: bool = False,
+) -> tuple[np.ndarray, ...]:
     """``_solve_inequality(G_stack[b], g, c_stack[b], tol)`` for
     every ``b``, pivoted in lockstep; returns each LP's ``value`` and
-    point ``x``.
+    point ``x``, and with ``multipliers`` also its row multipliers
+    ``y``.
 
     Each LP follows the same two phases, pivot rules, Bland switch and
     iteration limit as ``_solve_standard``, per LP, so every optimal or
@@ -455,6 +458,16 @@ def _solve_inequality_batch(
     in this stack by more than ``tol * (1 + |best|)``, and reports it
     as ``-inf``; see ``_run_phase_batch``.  Pass ``-inf`` to prune
     without a prior optimum.
+
+    ``y`` has one row per LP and one entry per row of ``G_stack``: the
+    basic solution of the LP's dual tableau as phase two left it, zero
+    off the basis.  Pruned tableaux are not written back to the stack,
+    so a pruned LP's ``y`` is that of an earlier tableau of its phase
+    two, the one the stack held when the working set was first
+    compacted.  Phase two keeps the basic solution feasible, so every
+    ``y`` is nonnegative up to rounding, which is all a bound
+    ``g @ y + max (c' - G'.T y) @ x`` over a box needs, for any LP of
+    the stack's shape.  An LP handed back reads nan.
     """
     B, m, n = G_stack.shape
     # the standard-form dual of each LP: n rows, m columns, rhs c_b
@@ -493,7 +506,12 @@ def _solve_inequality_batch(
     # pruned, or infeasible: a column without a pivot row leaves the
     # dual unbounded below
     value[(phase_two >= 0) | (phase_two == -3)] = -np.inf
-    return value, x
+    if not multipliers:
+        return value, x
+    y = np.full((B, m), np.nan)
+    y[go] = 0.0
+    y[go[:, None], basis[go]] = T[go, :n, -1]
+    return value, x, y
 
 
 def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> LpOutcome:
@@ -540,5 +558,4 @@ __all__ = [
     "LpProblem",
     "LpOutcome",
     "solve_lp",
-    "SingularMatrixError",
 ]

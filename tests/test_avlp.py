@@ -348,68 +348,207 @@ def test_pruning_keeps_the_first_of_tied_orthants_across_chunks(monkeypatch):
     assert np.array_equal(np.sign(out.ties), list(itertools.product((-1.0, 1.0), repeat=3))[1::2])
 
 
+def _sweep_program(rng, kinds, exact, boxed, relief=1.0):
+    """A program over columns of the given kinds (nonconvex, convex,
+    absent) with 1 to 3 random rows and ``|x|`` terms scaled by
+    ``relief``.  ``exact`` draws small integers and halves, so optima
+    are exact and orthants tie, and makes the first nonconvex column
+    enter only through ``|x_j|``, so its two orthants mirror each
+    other; ``boxed`` appends the rows ``x_j <= 1`` and ``-x_j <= 1``,
+    which keep most orthants bounded (without them phase one hands
+    some back)."""
+    n = len(kinds)
+    m = int(rng.integers(1, 4))
+    if exact:
+        lin_lhs = rng.integers(-2, 3, (m, n)).astype(float)
+        rhs = rng.integers(-1, 4, m).astype(float)
+    else:
+        lin_lhs = rng.uniform(-3, 3, (m, n))
+        rhs = rng.uniform(-1, 4, m)
+    if boxed:
+        lin_lhs = np.vstack([lin_lhs, np.eye(n), -np.eye(n)])
+        rhs = np.concatenate([rhs, np.ones(2 * n)])
+    rows = lin_lhs.shape[0]
+    abs_lhs = np.zeros((rows, n))
+    abs_cost = np.zeros(n)
+    for j, kind in enumerate(kinds):
+        if kind == "convex":
+            abs_lhs[:, j] = rng.uniform(0, 0.9, rows)
+            abs_cost[j] = -1.0
+        elif kind == "nonconvex":
+            abs_lhs[:, j] = rng.uniform(-0.9, 0.9, rows)
+            abs_lhs[int(rng.integers(rows)), j] = -0.5
+            abs_cost[j] = float(rng.integers(0, 2))
+    if exact:
+        abs_lhs = np.round(2.0 * abs_lhs) / 2.0
+    abs_lhs *= relief
+    lin_cost = rng.integers(-2, 3, n).astype(float)
+    if exact:
+        j = np.flatnonzero(np.asarray(kinds) == "nonconvex")[0]
+        lin_lhs[:m, j] = lin_cost[j] = 0.0
+    return _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
+
+
+def _screened_programs():
+    """Programs with 8 or 9 enumerated columns, which the sweep
+    screens when it proves ``|x| <= U``, each with whether that bound
+    exists and whether every orthant must still reach the kernel.  The
+    relief is scaled down so that the box rows bound ``|x|``."""
+    rng = np.random.default_rng(46)
+    programs = []
+    # box rows with relief, a convex and an absent column
+    kinds = rng.permutation(["nonconvex"] * 8 + ["convex", "absent"])
+    programs.append((_sweep_program(rng, kinds, False, True, 0.125), True, False))
+    # small integers: exact optima and mirrored, tied orthants
+    programs.append((_sweep_program(rng, ["nonconvex"] * 9, True, True, 0.125), True, False))
+    # x_1 >= 1/2 leaves every orthant with s_1 = -1 infeasible
+    base = _sweep_program(rng, ["nonconvex"] * 8 + ["absent"], False, True, 0.125)
+    row = np.zeros((1, 9))
+    row[0, 0] = -1.0
+    programs.append((_program(base.linear_cost, base.abs_cost, np.vstack([base.linear_lhs, row]),
+                              np.vstack([base.abs_lhs, np.zeros((1, 9))]),
+                              np.append(base.rhs, -0.5)), True, False))
+    # x_8 only loosens rows: no row bounds it, so nothing is screened
+    base = _sweep_program(rng, ["nonconvex"] * 8, False, True, 0.125)
+    lin_lhs, abs_lhs = base.linear_lhs.copy(), base.abs_lhs.copy()
+    lin_cost = base.linear_cost.copy()
+    lin_lhs[:, 7] = lin_cost[7] = 0.0
+    abs_lhs[:, 7] = -np.abs(abs_lhs[:, 7])
+    programs.append((_program(lin_cost, np.append(base.abs_cost[:7], 0.0), lin_lhs, abs_lhs,
+                              base.rhs), False, True))
+    # max sum |x_j| + 1e-9 x_1 over |x| <= 1: the orthants with
+    # s_1 = -1 fall short of the others by 2e-9, inside the tie window
+    # 1e-9 * (1 + 8), and the multipliers of one of them bound all of
+    # them at their own optimum, below the incumbent
+    cost = np.zeros(8)
+    cost[0] = 1e-9
+    programs.append((_program(cost, np.ones(8), np.zeros((8, 8)), np.eye(8), np.ones(8)),
+                     True, True))
+    return programs
+
+
 def test_chunking_never_changes_the_sweep(monkeypatch):
-    # programs with 3 to 6 enumerated columns, swept one orthant LP per
-    # chunk, three per chunk and at the default chunk size: phase two
-    # runs on chunks with and without LPs handed back by phase one, and
-    # the incumbent is carried across chunks
+    # programs with 3 to 6 enumerated columns, and the screened ones
+    # with 8 and 9, swept one orthant LP per chunk, three per chunk and
+    # at the default chunk size: phase two runs on chunks with and
+    # without LPs handed back by phase one, and the incumbent is
+    # carried across chunks and from the screen's first round
     rng = np.random.default_rng(45)
-    sizes = []
-    real_batch = avlp._solve_inequality_batch
-
-    def batch(G_stack, *args):
-        sizes.append(len(G_stack))
-        return real_batch(G_stack, *args)
-
-    monkeypatch.setattr(avlp, "_solve_inequality_batch", batch)
-    default = avlp._CHUNK_BYTES
+    programs = []
     for trial in range(40):
         k = int(rng.integers(3, 7))
         kinds = rng.permutation(["nonconvex"] * k + ["convex", "absent"][: int(rng.integers(0, 3))])
-        n = len(kinds)
-        m = int(rng.integers(1, 4))
-        if trial % 2:
-            # small integers and halves: exact optima, so orthants tie
-            lin_lhs = rng.integers(-2, 3, (m, n)).astype(float)
-            rhs = rng.integers(-1, 4, m).astype(float)
-        else:
-            lin_lhs = rng.uniform(-3, 3, (m, n))
-            rhs = rng.uniform(-1, 4, m)
-        if trial % 4 < 2:
-            # box rows keep most programs bounded; without them some
-            # orthants are unbounded and phase one hands them back
-            lin_lhs = np.vstack([lin_lhs, np.eye(n), -np.eye(n)])
-            rhs = np.concatenate([rhs, np.ones(2 * n)])
-        rows = lin_lhs.shape[0]
-        abs_lhs = np.zeros((rows, n))
-        abs_cost = np.zeros(n)
-        for j, kind in enumerate(kinds):
-            if kind == "convex":
-                abs_lhs[:, j] = rng.uniform(0, 0.9, rows)
-                abs_cost[j] = -1.0
-            elif kind == "nonconvex":
-                abs_lhs[:, j] = rng.uniform(-0.9, 0.9, rows)
-                abs_lhs[int(rng.integers(rows)), j] = -0.5
-                abs_cost[j] = float(rng.integers(0, 2))
-        if trial % 2:
-            abs_lhs = np.round(2.0 * abs_lhs) / 2.0
-        lin_cost = rng.integers(-2, 3, n).astype(float)
-        if trial % 2:
-            # x_j enters only through |x_j|: its two orthants mirror
-            # each other and tie
-            j = np.flatnonzero(kinds == "nonconvex")[0]
-            lin_lhs[:m, j] = lin_cost[j] = 0.0
-        prog = _program(lin_cost, abs_cost, lin_lhs, abs_lhs, rhs)
+        programs.append((_sweep_program(rng, kinds, trial % 2 == 1, trial % 4 < 2), None, True))
+    programs += _screened_programs()
+    calls, bounds = [], []
+    real_batch = avlp._solve_inequality_batch
+    real_bounds = avlp._orthant_bounds
+
+    def batch(G_stack, *args):
+        calls.append((G_stack, len(args) > 4 and args[4]))
+        return real_batch(G_stack, *args)
+
+    def orthant_bounds(*args):
+        bounds.append(real_bounds(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(avlp, "_solve_inequality_batch", batch)
+    monkeypatch.setattr(avlp, "_orthant_bounds", orthant_bounds)
+    default = avlp._CHUNK_BYTES
+    for prog, bounded, every in programs:
         ref, lps = orthant_sweep(prog)
+        enumerated = (prog.abs_lhs < 0).any(axis=0) | (prog.abs_cost > 0)
+        enum = np.flatnonzero(enumerated)
+        k, m = enum.size, prog.m
         assert len(lps) == 2**k
+        if bounded is not None:
+            assert (avlp._abs_bound(prog.linear_lhs, prog.abs_lhs, prog.rhs) is not None) == bounded
+        optima = np.array([lp.value for lp in lps])
         # tableau bytes of one orthant LP, counted as the sweep counts them
-        conv = int(np.sum(kinds == "convex"))
-        lp_bytes = 8 * (n + conv + 1) * (rows + k + 2 * conv + n + conv + 1)
+        conv = int(np.sum(~enumerated & (prog.abs_lhs > 0).any(axis=0)))
+        cols = prog.n + conv
+        lp_bytes = 8 * (cols + 1) * (m + k + 2 * conv + cols + 1)
         for chunk_bytes, most in ((1, 1), (3 * lp_bytes, 3), (default, 2**k)):
             monkeypatch.setattr(avlp, "_CHUNK_BYTES", chunk_bytes)
-            sizes.clear()
+            calls.clear()
+            bounds.clear()
             _assert_same_outcome(solve_gen_avlp(prog), ref)
-            assert sum(sizes) == 2**k and max(sizes) == most
+            sizes = [len(G_stack) for G_stack, _ in calls]
+            if not bounded:
+                # one pass in lexicographic chunks
+                assert sum(sizes) == 2**k and max(sizes) == most
+                continue
+            assert max(sizes) <= most
+            if every:
+                assert sum(sizes) == 2**k
+                continue
+            assert sum(sizes) < 2**k
+            # the orthants each LP stands for, read off its sign rows
+            sent = np.zeros(2**k, dtype=bool)
+            first = np.zeros(2**k, dtype=bool)
+            for G_stack, screening in calls:
+                signs = -G_stack[:, m + np.arange(k), enum] > 0
+                idx = signs @ (1 << np.arange(k - 1, -1, -1))
+                sent[idx] = True
+                first[idx] |= screening
+            # every orthant the screen dropped lies below the first
+            # round's best by more than the tie window, and at or below
+            # its bound; the bound is summed in floating point, so a
+            # tight one may fall short of the optimum by a few units in
+            # the last place, a thousandth of the tie window
+            incumbent = optima[first].max()
+            (bound,) = bounds
+            assert (optima[~sent] < incumbent - 1e-9 * (1.0 + abs(incumbent))).all()
+            assert (optima[~sent] <= bound[~sent] + 1e-12 * (1.0 + np.abs(bound[~sent]))).all()
+
+
+def test_abs_bound_holds_in_every_orthant():
+    # random programs with n <= 5: box rows, with relief in every row
+    # on odd trials and in the other rows only on even ones, where the
+    # box itself is the bound and some orthant reaches it
+    rng = np.random.default_rng(48)
+    proved = reached = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4))
+        G = np.vstack([rng.uniform(-3, 3, (m, n)), np.eye(n), -np.eye(n)])
+        H = rng.uniform(-0.3, 0.3, G.shape)
+        if trial % 2 == 0:
+            H[m:] = 0.0
+        g = np.concatenate([rng.uniform(0.5, 4, m), rng.uniform(0.5, 2, 2 * n)])
+        U = avlp._abs_bound(G, H, g)
+        if U is None:
+            continue
+        proved += 1
+        for s in itertools.product((-1.0, 1.0), repeat=n):
+            s = np.array(s)
+            lhs = np.vstack([G + H * s, -np.diag(s)])
+            rhs = np.concatenate([g, np.zeros(n)])
+            for j, sign in itertools.product(range(n), (-1.0, 1.0)):
+                out = _solve_inequality(lhs, rhs, sign * np.eye(n)[j], 1e-9)
+                assert out.status is not Status.UNBOUNDED
+                # the LP's value is rounded too: a unit in the last place
+                assert out.value <= U[j] * (1.0 + 1e-12)
+                reached += out.value >= U[j] * (1.0 - 1e-12)
+    assert proved >= 30 and reached > 0
+
+
+def test_abs_bound_needs_a_contraction_and_a_row_per_column():
+    # |x_1| <= 1 + w |x_2| and |x_2| <= 1 + w |x_1|: N = [[0, w], [w, 0]]
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    H = -np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    g = np.ones(4)
+    U = avlp._abs_bound(G, H * 0.5, g)
+    assert U == pytest.approx([2.0, 2.0], rel=1e-12)
+    # (I - N) U >= beta holds as computed
+    assert (U - 0.5 * U[::-1] >= 1.0).all()
+    # rho(N) = 1 and rho(N) = 2 fail the gate
+    assert avlp._abs_bound(G, H, g) is None
+    assert avlp._abs_bound(G, 2.0 * H, g) is None
+    # without -x_1 <= 1 + w |x_2| nothing bounds x_1 from below
+    assert avlp._abs_bound(np.delete(G, 2, 0), np.delete(H * 0.5, 2, 0), g[:3]) is None
+    # |x_1| <= 1 bounds both signs of x_1 with one row
+    assert avlp._abs_bound(np.zeros((1, 1)), np.ones((1, 1)), np.ones(1)) == pytest.approx([1.0])
 
 
 def _assert_same_outcome(got, ref):
@@ -439,17 +578,27 @@ def _assert_same_core(out, i, ref):
 def _batch_against_scalar(G_stack, g, c_stack):
     """Batch outcomes, each checked bit for bit against the scalar
     kernel; the batch must leave its inputs as they were.  A handed-back
-    LP reads nan."""
+    LP reads nan.  Asked for multipliers, the batch returns the same
+    values and points, and ``y >= 0`` up to rounding: an optimal LP's
+    is the scalar kernel's, whose entries below ``1e2 * tol`` are
+    clipped at zero."""
     inputs = [a.copy() for a in (G_stack, g, c_stack)]
     out = value, x = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
     for a, before in zip((G_stack, g, c_stack), inputs):
         assert a.tobytes() == before.tobytes()
     assert value.shape == (len(G_stack),) and x.shape == (len(G_stack), G_stack.shape[2])
+    *again, y = _solve_inequality_batch(G_stack, g, c_stack, 1e-9, None, True)
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in out]
+    assert y.shape == G_stack.shape[:2]
     for i, (G, c) in enumerate(zip(G_stack, c_stack)):
         if np.isnan(value[i]):
-            assert np.isnan(x[i]).all()
-        else:
-            _assert_same_core(out, i, _solve_inequality(G, g, c, 1e-9))
+            assert np.isnan(x[i]).all() and np.isnan(y[i]).all()
+            continue
+        ref = _solve_inequality(G, g, c, 1e-9)
+        _assert_same_core(out, i, ref)
+        assert (y[i] >= -1e-12).all()
+        if ref.status is Status.OPTIMAL:
+            assert np.array_equal(np.maximum(y[i], 0.0), np.maximum(ref.y, 0.0))
     return out
 
 

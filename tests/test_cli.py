@@ -4,7 +4,6 @@ import argparse
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from avlprange import write_problem
