@@ -78,8 +78,7 @@ DEFAULT_ORTHANT_CAP = 16
 
 #: Tableau bytes of one lockstep chunk of orthant LPs.  The sweep's
 #: working set, whatever the number of orthants, is that chunk's stack
-#: of tableaux, one scratch buffer of the same size and, once some
-#: tableaux finish, a compacted copy of those still pivoting.
+#: of tableaux and the kernel's two spare buffers of the same size.
 _CHUNK_BYTES = 1 << 20
 
 #: Sweeps of at least this many orthants are screened when the
@@ -390,9 +389,9 @@ def solve_gen_avlp(
     # s_t = -1 (bit 0) and G + H where s_t = +1 (bit 1), bit for bit
     choices = np.stack([(G - H)[:, enum].T, (G + H)[:, enum].T])
 
-    def sweep(order: np.ndarray, multipliers: bool = False) -> list[np.ndarray]:
+    def sweep(order: np.ndarray) -> list[np.ndarray]:
         """Solve the orthants ``order`` in chunks, carrying the
-        incumbent; with ``multipliers``, return each chunk's ``y``."""
+        incumbent; return each chunk's ``y``."""
         nonlocal incumbent
         ys = []
         for start in range(0, order.size, chunk):
@@ -407,9 +406,8 @@ def solve_gen_avlp(
             lhs_stack = lhs_stack.transpose(0, 2, 1)
             cost_stack = np.broadcast_to(cost, (idx.size, cols)).copy()
             cost_stack[:, enum] = p[enum] + q[enum] * signs
-            value, x, *y = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent,
-                                                   multipliers)
-            ys += y
+            value, x, y = _solve_inequality_batch(lhs_stack, rhs, cost_stack, tol, incumbent)
+            ys.append(y)
             for i in np.flatnonzero(np.isnan(value)):
                 # a rare branch of the scalar kernel
                 core = _solve_inequality(lhs_stack[i], rhs, cost_stack[i], tol)
@@ -430,7 +428,7 @@ def solve_gen_avlp(
         # win nor tie, as the kernel's pruning does
         spread = 2 ** ((k + 1) // 2 + 1)
         first = np.arange(spread) * (2**k // spread + 1) % 2**k
-        y = np.concatenate(sweep(first, True))[:, :m]
+        y = np.concatenate(sweep(first))[:, :m]
         y = np.maximum(y[~np.isnan(y).any(axis=1)], 0.0)
         rest = np.ones(2**k, dtype=bool)
         rest[first] = False

@@ -20,16 +20,20 @@ certified ray ``d`` with ``G d <= 0`` and ``c @ d > 0``.
 LPs in lockstep with numpy, under the same rules applied per LP, so
 each LP it settles gets the scalar kernel's value and point bit for
 bit.  It builds the stack of tableaux once and runs both phases on it
-in place, with one scratch buffer for the pivots' rank-one updates.
+in place, with two spare buffers for the pivots' rank-one updates and
+the compacted working set.  The stack and its buffers come from a
+per-thread workspace that is kept between calls.
 It settles the common cases (optimal, and infeasible as read from
 phase two) and hands the rare ones back to the scalar kernel.  On
 request it prunes, in phase two, the LPs whose optimum provably falls
-below the best optimum found so far, and returns each LP's row
+below the best optimum found so far.  It also returns each LP's row
 multipliers, from which ``avlp`` bounds the orthants it has not solved.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -315,6 +319,7 @@ def _run_phase_batch(
     tol: float,
     limit: int,
     bland_after: int,
+    spare: list[np.ndarray],
     incumbent: float | None = None,
     live: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -331,13 +336,16 @@ def _run_phase_batch(
 
     The stack is pivoted in place until the first tableau leaves the
     working set; from then on the working set is a compacted copy, and
-    each finished tableau is written back.  One scratch buffer the
-    size of the working set holds each step's rank-one update.  It is
-    formed by ``np.einsum``, which writes +0.0 where ``_pivot``'s
-    product is -0.0; so a zero entry may end with the other sign than
-    in the scalar kernel, and no other bit differs.  The entries read
-    out for a point, the artificial columns of phase two's cost row,
-    never hold -0.0, so points and values match bit for bit.
+    each finished tableau is written back.  ``spare`` holds two buffers
+    the shape of ``T``: one takes each step's rank-one update, and each
+    compaction copies the working set into the one it does not occupy
+    (the first into ``spare[1]``), so no pass allocates a tableau-sized
+    array.  The update is formed by ``np.einsum``, which writes +0.0
+    where ``_pivot``'s product is -0.0; so a zero entry may end with the
+    other sign than in the scalar kernel, and no other bit differs.
+    The entries read out for a point, the artificial columns of phase
+    two's cost row, never hold -0.0, so points and values match bit for
+    bit.
 
     Pruning is for phase two only, and only when ``incumbent`` is given.
     There every tableau is dual feasible, so its objective
@@ -351,14 +359,17 @@ def _run_phase_batch(
     k = basis.shape[1]
     width = T.shape[2] - 1
     outcome = np.full(len(T), -2)
+    # the working set is T itself or the front of spare[1]; the front
+    # of spare[0] takes the rank-one update
+    spare = list(spare)
     if live is None or live.size == len(T):
         live = np.arange(len(T))
         Tw, bw = T, basis
     else:
-        Tw, bw = T[live], basis[live]
+        Tw, bw = T.take(live, 0, spare[1][: live.size], "clip"), basis[live]
     # buffers for the rank-one update and the ratio test (inf where a
     # row is not eligible), cut down as the working set shrinks
-    scratch = np.empty_like(Tw)
+    scratch = spare[0][: live.size]
     ratio_buf = np.empty((len(live), k))
     # each LP's last step with a nondegenerate pivot: its run of
     # degenerate pivots is the steps since, so it can pass bland_after
@@ -400,10 +411,20 @@ def _run_phase_batch(
                 T[live[finished]] = Tw[finished]
                 basis[live[finished]] = bw[finished]
             keep = ~dropped
-            live, Tw, bw, settled = live[keep], Tw[keep], bw[keep], settled[keep]
+            live, bw, settled = live[keep], bw[keep], settled[keep]
             if not live.size:
                 return outcome
-            at, scratch, ratio_buf = at[: live.size], scratch[: live.size], ratio_buf[: live.size]
+            # take writes straight into its output only when it need
+            # not check the indices, which are in range here
+            rows = keep.nonzero()[0]
+            if Tw is T:
+                Tw = T.take(rows, 0, spare[1][: live.size], "clip")
+            else:
+                # into the update's buffer, which then swaps with the
+                # working set's
+                Tw = Tw.take(rows, 0, spare[0][: live.size], "clip")
+                spare.reverse()
+            at, scratch, ratio_buf = at[: live.size], spare[0][: live.size], ratio_buf[: live.size]
             rc, rhs, obj = Tw[:, k, :ncols], Tw[:, :k, -1], Tw[:, k, -1]
             j, colj, eligible, ratio = j[keep], colj[keep], eligible[keep], ratio[keep]
         # the row of each minimum gives theta faster than a per-row
@@ -428,30 +449,48 @@ def _run_phase_batch(
     return outcome
 
 
+_held = threading.local()
+
+
+def _workspace(shape: tuple[int, ...]) -> np.ndarray:
+    """Three uninitialised float arrays of ``shape``, as one array,
+    from this thread's workspace.  The workspace grows to the largest
+    request and is kept, so the lockstep kernel's tableau stacks are
+    not allocated per call: freed, the C allocator may hand their
+    pages back to the system and fault them in again on the next
+    call.  The orthant sweep's chunks keep it within three times
+    ``avlp._CHUNK_BYTES``."""
+    size = 3 * math.prod(shape)
+    buf = getattr(_held, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _held.buf = np.empty(size)
+    return buf[:size].reshape((3,) + shape)
+
+
 def _solve_inequality_batch(
     G_stack: np.ndarray,
     g: np.ndarray,
     c_stack: np.ndarray,
     tol: float,
     incumbent: float | None = None,
-    multipliers: bool = False,
-) -> tuple[np.ndarray, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_solve_inequality(G_stack[b], g, c_stack[b], tol)`` for
-    every ``b``, pivoted in lockstep; returns each LP's ``value`` and
-    point ``x``, and with ``multipliers`` also its row multipliers
-    ``y``.
+    every ``b``, pivoted in lockstep; returns each LP's ``value``,
+    point ``x`` and row multipliers ``y``.
 
     Each LP follows the same two phases, pivot rules, Bland switch and
     iteration limit as ``_solve_standard``, per LP, so every optimal or
     infeasible LP gets the scalar kernel's value and point bit for bit,
     whatever the memory layout of ``G_stack``.  The stack is built once
-    and both phases pivot it in place.  ``value`` is ``c @ x`` for an
-    optimal LP and ``-inf`` for an infeasible one; ``x`` is nan except
-    for optimal LPs.  An LP that needs one of the scalar kernel's rare
-    branches is handed back with ``value`` nan: phase one without a
-    pivot row (the drift repair), an infeasible phase one (the
-    feasibility probe), a residual basic artificial, or the iteration
-    limit.  Solve those with ``_solve_inequality``.
+    in this thread's ``_workspace``, and both phases pivot it in place;
+    the next call overwrites it, so nothing returned is a view of it.
+    ``value`` is ``c @ x`` for an optimal LP and ``-inf`` for an
+    infeasible one; ``x`` is nan except for optimal LPs.  An LP that
+    needs one of the scalar kernel's rare branches is handed back with
+    ``value`` nan: phase one without a pivot row (the drift repair), an
+    infeasible phase one (the feasibility probe), a residual basic
+    artificial, or the iteration limit.  Solve those with
+    ``_solve_inequality``.
 
     With ``incumbent`` given, phase two prunes every LP whose optimum
     provably lies below the best of ``incumbent`` and the optima found
@@ -474,7 +513,8 @@ def _solve_inequality_batch(
     sign = np.where(c_stack < 0, -1.0, 1.0)
     b1 = c_stack * sign
     width = m + n
-    T = np.zeros((B, n + 1, width + 1))
+    T, *spare = _workspace((B, n + 1, width + 1))
+    T.fill(0.0)
     a1 = T[:, :n, :m]
     np.multiply(G_stack.transpose(0, 2, 1), sign[:, :, None], out=a1)
     T[:, np.arange(n), m + np.arange(n)] = 1.0
@@ -485,7 +525,7 @@ def _solve_inequality_batch(
     limit = 50 * (n + m) + 20
     bland_after = 3 * (n + m)
 
-    phase_one = _run_phase_batch(T, basis, m, tol, limit, bland_after)
+    phase_one = _run_phase_batch(T, basis, m, tol, limit, bland_after, spare)
     feas_tol = 1e-7 * (1.0 + np.abs(b1).max(1))
     ok = (phase_one == -1) & (-T[:, n, -1] <= feas_tol) & (basis < m).all(1)
     # phase two runs on the same stack; the handed-back LPs sit it out
@@ -495,7 +535,7 @@ def _solve_inequality_batch(
     costrow = np.zeros(width + 1)
     costrow[:m] = g
     T[at, n] = costrow - np.matmul(g[basis[at]][:, None, :], T[at, :n])[:, 0]
-    phase_two = _run_phase_batch(T, basis, m, tol, limit, bland_after, incumbent, go)
+    phase_two = _run_phase_batch(T, basis, m, tol, limit, bland_after, spare, incumbent, go)
 
     value = np.full(B, np.nan)
     x = np.full((B, n), np.nan)
@@ -506,11 +546,9 @@ def _solve_inequality_batch(
     # pruned, or infeasible: a column without a pivot row leaves the
     # dual unbounded below
     value[(phase_two >= 0) | (phase_two == -3)] = -np.inf
-    if not multipliers:
-        return value, x
-    y = np.full((B, m), np.nan)
-    y[go] = 0.0
+    y = np.zeros((B, m))
     y[go[:, None], basis[go]] = T[go, :n, -1]
+    y[~ok] = np.nan
     return value, x, y
 
 

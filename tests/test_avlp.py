@@ -1,6 +1,8 @@
 """Generalized solver with absolute-value terms in costs and rows."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -445,7 +447,8 @@ def test_chunking_never_changes_the_sweep(monkeypatch):
     real_bounds = avlp._orthant_bounds
 
     def batch(G_stack, *args):
-        calls.append((G_stack, len(args) > 4 and args[4]))
+        # the screen's first round is every call before the bounds
+        calls.append((G_stack, not bounds))
         return real_batch(G_stack, *args)
 
     def orthant_bounds(*args):
@@ -564,9 +567,10 @@ def _assert_same_outcome(got, ref):
 
 
 def _assert_same_core(out, i, ref):
-    """LP ``i`` of a batch's ``(value, x)`` equals the scalar kernel's
-    ``ref``: the value, and the point when optimal, bit for bit."""
-    value, x = out
+    """LP ``i`` of a batch's ``(value, x, y)`` equals the scalar
+    kernel's ``ref``: the value, and the point when optimal, bit for
+    bit."""
+    value, x, _ = out
     assert ref.status in (Status.OPTIMAL, Status.INFEASIBLE)
     assert float(value[i]).hex() == ref.value.hex()
     if ref.status is Status.OPTIMAL:
@@ -578,17 +582,14 @@ def _assert_same_core(out, i, ref):
 def _batch_against_scalar(G_stack, g, c_stack):
     """Batch outcomes, each checked bit for bit against the scalar
     kernel; the batch must leave its inputs as they were.  A handed-back
-    LP reads nan.  Asked for multipliers, the batch returns the same
-    values and points, and ``y >= 0`` up to rounding: an optimal LP's
-    is the scalar kernel's, whose entries below ``1e2 * tol`` are
-    clipped at zero."""
+    LP reads nan.  The multipliers are ``y >= 0`` up to rounding: an
+    optimal LP's are the scalar kernel's, whose entries below
+    ``1e2 * tol`` are clipped at zero."""
     inputs = [a.copy() for a in (G_stack, g, c_stack)]
-    out = value, x = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
+    out = value, x, y = _solve_inequality_batch(G_stack, g, c_stack, 1e-9)
     for a, before in zip((G_stack, g, c_stack), inputs):
         assert a.tobytes() == before.tobytes()
     assert value.shape == (len(G_stack),) and x.shape == (len(G_stack), G_stack.shape[2])
-    *again, y = _solve_inequality_batch(G_stack, g, c_stack, 1e-9, None, True)
-    assert [a.tobytes() for a in again] == [a.tobytes() for a in out]
     assert y.shape == G_stack.shape[:2]
     for i, (G, c) in enumerate(zip(G_stack, c_stack)):
         if np.isnan(value[i]):
@@ -628,7 +629,7 @@ def test_batch_kernel_matches_scalar_bit_for_bit():
         G_stack[1, -1, 0] = 1.0
         G_stack[1, :, 1] = G_stack[1, :, 0]
         c_stack[1, 1] = c_stack[1, 0]
-        out = value, _ = _batch_against_scalar(G_stack, g, c_stack)
+        out = value, _, _ = _batch_against_scalar(G_stack, g, c_stack)
         # the same LPs as a view of a (B, n, m) array, the layout the
         # sweep passes: the same outcomes, to the bit
         view = np.ascontiguousarray(G_stack.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -663,7 +664,7 @@ def test_batch_kernel_matches_scalar_with_eight_or_more_variables():
         G_stack[:, 2 * n :] = [rng.permutation(v) for _ in range(6)]
         g = np.concatenate([rng.uniform(1, 3, 2 * n), np.ones(6)])
         c_stack = rng.uniform(0.1, 1.0, (B, n))
-        value, _ = _batch_against_scalar(G_stack, g, c_stack)
+        value, _, _ = _batch_against_scalar(G_stack, g, c_stack)
         assert np.isfinite(value).all()
 
 
@@ -694,3 +695,41 @@ def test_batch_kernel_takes_the_bland_switch(monkeypatch):
     out = _batch_against_scalar(G_stack, g, c_stack)
     assert not np.isnan(out[0]).any()
     _assert_same_core(out, 0, ref)
+
+
+def test_batch_workspace_is_per_thread():
+    # the kernel's tableau stacks come from a workspace kept per
+    # thread: stacks of two sizes, solved in turn on more threads than
+    # cores with frequent switches, each get the outcome they get alone
+    rng = np.random.default_rng(49)
+    n = 4
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    batches = []
+    for B in (6, 40, 9, 25):
+        G_stack = np.concatenate([np.broadcast_to(box, (B, 2 * n, n)),
+                                  rng.normal(size=(B, 5, n))], axis=1)
+        g = np.concatenate([rng.uniform(1, 3, 2 * n), rng.uniform(-1, 3, 5)])
+        batches.append((G_stack, g, rng.normal(size=(B, n)), 1e-9, -np.inf))
+    alone = [_solve_inequality_batch(*batch) for batch in batches]
+    got = {i: [] for i in range(len(batches))}
+
+    def work(i):
+        for r in range(6):
+            j = (i + r % 2) % len(batches)
+            got[i].append((j, _solve_inequality_batch(*batches[j])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for runs in got.values():
+        assert len(runs) == 6
+        for j, out in runs:
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in alone[j]]
